@@ -7,7 +7,6 @@ stdout and writes CSV/JSON artifacts to --out when requested.
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -27,6 +26,16 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_GRAPH = 2
 EXIT_NOT_STRONGLY_CONNECTED = 3
 EXIT_BAD_CONFIG = 4
+
+ROOT_COLUMNS = ["eps", "tau", "re_lambda_r", "im_lambda_r", "source_index", "residual"]
+
+# arguments each sweep mode needs besides --graph and --out
+SWEEP_REQUIRES = {
+    "eps": ("eps_range",),
+    "tau": ("eps", "tau_range"),
+    "two_d": ("eps_range", "tau_range"),
+    "tau_c": ("eps_range",),
+}
 
 
 def parse_range(text):
@@ -66,8 +75,7 @@ def cmd_analyze(args):
         return EXIT_NOT_STRONGLY_CONNECTED
     prof = graph_mod.degree_profile(g)
     spec0 = system_mod.spectrum(system_mod.build_system(g, 0.0))
-    nonnull0 = spec0.eigenvalues[np.abs(spec0.eigenvalues) > spec0.null_tolerance]
-    lam3 = nonnull0[np.argmax(nonnull0.real)]
+    lam3 = spec0.nonnull[0]
     slope = system_mod.lambda2_slope(g)
     tilde = delay_mod.tau_tilde_bound(g)
 
@@ -163,6 +171,12 @@ def _write_csv(path, header, rows, summary_comment):
 
 
 def cmd_sweep(args):
+    missing = [name for name in ("out",) + SWEEP_REQUIRES[args.mode]
+               if getattr(args, name) is None]
+    if missing:
+        print("error: mode=%s requires %s" % (args.mode, ", ".join(
+            "--" + name.replace("_", "-") for name in missing)), file=sys.stderr)
+        return EXIT_BAD_CONFIG
     g = load_graph(args.graph)
     if not graph_mod.is_strongly_connected(g):
         print("error: graph is not strongly connected", file=sys.stderr)
@@ -175,48 +189,33 @@ def cmd_sweep(args):
         grid = parse_range(args.eps_range)
         rows, values = [], []
         for eps in grid:
-            spec = system_mod.spectrum(system_mod.build_system(g, eps))
-            nonnull = spec.eigenvalues[np.abs(spec.eigenvalues) > spec.null_tolerance]
-            lam = nonnull[np.lexsort((-nonnull.imag, -nonnull.real))[0]]
+            lam = system_mod.spectrum(system_mod.build_system(g, eps)).nonnull[0]
             values.append(lam.real)
-            rows.append([_fmt(eps), "0", "%.17g" % lam.real, "%.17g" % lam.imag,
-                         "", "", ""])
+            rows.append([_fmt(eps), "0", "%.17g" % lam.real, "%.17g" % lam.imag, "", ""])
         best = int(np.argmin(values))
         path = os.path.join(args.out, "sweep_eps.csv")
-        _write_csv(path, ["eps", "tau", "re_lambda_r", "im_lambda_r",
-                          "source_index", "branch", "residual"], rows,
+        _write_csv(path, ROOT_COLUMNS, rows,
                    "argmin eps=%s re_lambda_r=%.17g" % (_fmt(grid[best]), values[best]))
         summary += [("argmin_eps", _fmt(grid[best])),
                     ("min_re_lambda_r", _fmt(values[best])), ("csv", path)]
 
     elif args.mode == "tau":
-        if args.eps is None:
-            print("error: --eps is required for mode=tau", file=sys.stderr)
-            return EXIT_BAD_CONFIG
         grid = parse_range(args.tau_range)
         spec = system_mod.spectrum(system_mod.build_system(g, args.eps))
-        nonnull = spec.eigenvalues[np.abs(spec.eigenvalues) > spec.null_tolerance]
         rows, values = [], []
-
-        def cell(tau):
+        for tau in grid:
             if tau == 0.0:
-                lam = nonnull[np.lexsort((-nonnull.imag, -nonnull.real))[0]]
-                return (tau, lam.real, lam.imag, "", "", "")
-            root = delay_mod.rightmost_root(spec, tau, args.branch_window)
-            return (tau, root.root.real, root.root.imag,
-                    str(root.source_eigenvalue_index), str(root.branch_index),
-                    "%.3g" % root.residual)
-
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(cell, grid))
-        for tau, re, im, src, br, res in results:
-            values.append(re)
-            rows.append([_fmt(args.eps), _fmt(tau), "%.17g" % re, "%.17g" % im,
-                         src, br, res])
+                lam, src, res = spec.nonnull[0], "", ""
+            else:
+                root = delay_mod.rightmost_root(spec, tau)
+                lam, src = root.root, str(root.source_eigenvalue_index)
+                res = "%.3g" % root.residual
+            values.append(lam.real)
+            rows.append([_fmt(args.eps), _fmt(tau), "%.17g" % lam.real,
+                         "%.17g" % lam.imag, src, res])
         best = int(np.argmin(values))
         path = os.path.join(args.out, "sweep_tau.csv")
-        _write_csv(path, ["eps", "tau", "re_lambda_r", "im_lambda_r",
-                          "source_index", "branch", "residual"], rows,
+        _write_csv(path, ROOT_COLUMNS, rows,
                    "argmin tau=%s re_lambda_r=%.17g" % (_fmt(grid[best]), values[best]))
         summary += [("eps", _fmt(args.eps)), ("argmin_tau", _fmt(grid[best])),
                     ("min_re_lambda_r", _fmt(values[best])), ("csv", path)]
@@ -245,18 +244,17 @@ def cmd_sweep(args):
     elif args.mode == "two_d":
         eps_grid = parse_range(args.eps_range)
         tau_grid = parse_range(args.tau_range)
-        smap = delay_mod.stability_map(g, eps_grid, tau_grid, args.branch_window)
+        smap = delay_mod.stability_map(g, eps_grid, tau_grid)
         warnings += len(smap.failures)
         rows = []
         for a, eps in enumerate(smap.eps_grid):
             for b, tau in enumerate(smap.tau_grid):
                 rows.append([_fmt(eps), _fmt(tau),
-                             "%.17g" % smap.lambda_r_real[a, b], "", "", "", ""])
+                             "%.17g" % smap.lambda_r_real[a, b], "", "", ""])
         flat = np.where(np.isnan(smap.lambda_r_real), np.inf, smap.lambda_r_real)
         a, b = np.unravel_index(int(np.argmin(flat)), flat.shape)
         path = os.path.join(args.out, "stability_map.csv")
-        _write_csv(path, ["eps", "tau", "re_lambda_r", "im_lambda_r",
-                          "source_index", "branch", "residual"], rows,
+        _write_csv(path, ROOT_COLUMNS, rows,
                    "argmin eps=%s tau=%s re_lambda_r=%.17g"
                    % (_fmt(smap.eps_grid[a]), _fmt(smap.tau_grid[b]),
                       smap.lambda_r_real[a, b]))
@@ -264,9 +262,6 @@ def cmd_sweep(args):
                     ("argmin_tau", _fmt(smap.tau_grid[b])),
                     ("min_re_lambda_r", _fmt(smap.lambda_r_real[a, b])),
                     ("csv", path)]
-    else:
-        print("error: unknown mode %r" % args.mode, file=sys.stderr)
-        return EXIT_BAD_CONFIG
 
     summary.append(("warnings", warnings))
     _summary(summary)
@@ -347,12 +342,10 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="parameter sweeps over eps and tau")
     common(p)
-    p.add_argument("--mode", required=True, choices=["eps", "tau", "two_d", "tau_c"])
+    p.add_argument("--mode", required=True, choices=list(SWEEP_REQUIRES))
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--eps-range", default=None, help="a:step:b")
     p.add_argument("--tau-range", default=None, help="a:step:b")
-    p.add_argument("--branch-window", type=int, default=2)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="cross-checks: oracle, bisection, conservation")
@@ -362,20 +355,17 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error and 0 after --help
+        return EXIT_BAD_CONFIG if exc.code == 2 else exc.code
     try:
         return args.func(args)
-    except GraphFormatError as exc:
+    except (GraphFormatError, FileNotFoundError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BAD_GRAPH
-    except FileNotFoundError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_BAD_GRAPH
-    except InvalidConfig as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    except InvalidParameter as exc:
+    except (InvalidConfig, InvalidParameter) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BAD_CONFIG
     except ConsensusError as exc:

@@ -1,9 +1,9 @@
 """Delay margins and rightmost quasi-polynomial roots.
 
 The characteristic function of the delayed system is det(sI - M(eps) e^{-s tau});
-its roots split per eigenvalue into s e^{s tau} = lambda_i(eps), solved branchwise
-with the complex Lambert W function. An independent Chebyshev collocation of the
-solution operator's generator serves as a cross-checking oracle.
+its roots split per eigenvalue into s e^{s tau} = lambda_i(eps), solved with the
+principal branch of the complex Lambert W function. An independent Chebyshev
+collocation of the solution operator's generator serves as a cross-checking oracle.
 """
 
 import cmath
@@ -28,7 +28,6 @@ class DelayMargin:
 class RightmostRoot:
     root: complex
     source_eigenvalue_index: int
-    branch_index: int
     residual: float
 
 
@@ -43,19 +42,49 @@ class StabilityMap:
 def lambert_w(z, k=0, tol=1e-12, max_iter=100):
     """Branch k of the Lambert W function by Halley iteration.
 
-    Returns w with w * e^w = z and |w e^w - z| <= tol (absolute).
+    Returns w with w * e^w = z, |w e^w - z| <= tol (absolute) and unwinding
+    number k, Im(w + Log w - Log z) = 2 pi k (Corless et al., Adv. Comput. Math.
+    5, 1996), since the residual alone cannot tell branches apart; a start point
+    that diverges or lands on another branch is followed by the next. On real z
+    in [-1/e, 0) both real branches have unwinding number 0, so W_-1 is exempt.
+    A signed zero imaginary part is ignored: a cut takes the value from above.
     """
-    z = complex(z)
+    z = complex(z) + 0.0
     k = int(k)
     if z == 0:
         if k == 0:
             return 0j
         raise NumericalFailure("branch %d of W is singular at z = 0" % k)
+    real_branch = k == -1 and z.imag == 0 and -1.0 / math.e <= z.real < 0
+    log_z = cmath.log(z)
+    for w in _start_points(z, k, real_branch):
+        try:
+            for _ in range(max_iter):
+                ew = cmath.exp(w)
+                f = w * ew - z
+                if abs(f) <= tol:
+                    break
+                wp1 = w + 1.0
+                denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
+                step = f / denom
+                w = w - step
+                if abs(step) <= 1e-17 * max(1.0, abs(w)):
+                    break
+            residual = abs(w * cmath.exp(w) - z)
+        except OverflowError:  # the iteration diverged from this start point
+            continue
+        if residual <= tol and (
+                real_branch
+                or abs((w + cmath.log(w) - log_z).imag - 2.0 * math.pi * k) < math.pi):
+            return w
+    raise NumericalFailure("Lambert W branch %d failed to converge for z = %r" % (k, z))
 
-    # initial guess
+
+def _start_points(z, k, real_branch):
+    """Initial guesses for branch k at z, best first."""
     p2 = 2.0 * (math.e * z + 1.0)
     if k == 0 and abs(z) <= 1.0 / math.e:
-        w = z * (1.0 - z + 1.5 * z * z)
+        yield z * (1.0 - z + 1.5 * z * z)
     elif k in (0, -1) and abs(p2) < 0.8:
         # series around the branch point at -1/e
         p = cmath.sqrt(p2)
@@ -63,43 +92,17 @@ def lambert_w(z, k=0, tol=1e-12, max_iter=100):
             p = -p if z.imag >= 0 else p
         if k == 0 and z.imag < 0 and p.imag > 0:
             p = -p
-        w = -1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p * p * p
-    elif k == -1 and z.imag == 0 and -1.0 / math.e < z.real < 0:
+        yield -1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p * p * p
+    elif real_branch:
         ln = math.log(-z.real)
-        w = complex(ln - math.log(-ln))
-    else:
-        w = cmath.log(z) + 2j * math.pi * k
-        if abs(w) > 1.0:
-            w = w - cmath.log(w)
-
-    for _ in range(max_iter):
-        ew = cmath.exp(w)
-        f = w * ew - z
-        if abs(f) <= tol:
-            return w
-        wp1 = w + 1.0
-        denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-        step = f / denom
-        w = w - step
-        if abs(step) <= 1e-17 * max(1.0, abs(w)):
-            break
-    if abs(w * cmath.exp(w) - z) <= tol:
-        return w
-    raise NumericalFailure(
-        "Lambert W branch %d failed to converge for z = %r" % (k, z)
-    )
-
-
-def _check_stable_spectrum(spec):
-    vals = spec.eigenvalues
-    null_mask = np.abs(vals) <= spec.null_tolerance
-    if spec.null_count != 1:
-        raise PreconditionViolated(
-            "expected exactly one null eigenvalue, found %d" % spec.null_count
-        )
-    if np.any(vals[~null_mask].real >= 0):
-        raise PreconditionViolated("a non-null eigenvalue has non-negative real part")
-    return null_mask
+        yield complex(ln - math.log(-ln))
+    # asymptotic guess; near |z| = 1/e it and the ones above can fall into the
+    # basin of a neighbouring branch
+    w = cmath.log(z) + 2j * math.pi * k
+    yield w - cmath.log(w) if abs(w) > 1.0 else w
+    if k == 0:
+        yield cmath.log(1.0 + z)
+        yield z * (3.0 + 6.0 * z + z * z) / (3.0 + 9.0 * z + 5.0 * z * z)
 
 
 def tau_critical(spec):
@@ -108,19 +111,19 @@ def tau_critical(spec):
     Angles are folded into the upper half-plane, theta_i = |arg lambda_i| in
     (pi/2, pi]; the crossing frequency equals the limiting eigenvalue's modulus.
     """
-    null_mask = _check_stable_spectrum(spec)
-    best = None
-    for i, lam in enumerate(spec.eigenvalues):
-        if null_mask[i]:
-            continue
-        radius = abs(lam)
-        theta = abs(np.angle(lam))
-        value = (theta - math.pi / 2.0) / radius
-        if best is None or value < best[0]:
-            best = (value, i, radius)
-    tau_c, idx, omega = best
-    return DelayMargin(tau_c=tau_c, limiting_eigenvalue_index=idx,
-                       crossing_frequency=omega)
+    if spec.null_count != 1:
+        raise PreconditionViolated(
+            "expected exactly one null eigenvalue, found %d" % spec.null_count
+        )
+    lam = spec.nonnull
+    if np.any(lam.real >= 0):
+        raise PreconditionViolated("a non-null eigenvalue has non-negative real part")
+    radius = np.abs(lam)
+    values = (np.abs(np.angle(lam)) - math.pi / 2.0) / radius
+    j = int(np.argmin(values))
+    return DelayMargin(tau_c=float(values[j]),
+                       limiting_eigenvalue_index=int(spec.nonnull_index[j]),
+                       crossing_frequency=float(radius[j]))
 
 
 def tau_tilde_bound(g, null_tolerance=system_mod.DEFAULT_NULL_TOLERANCE):
@@ -134,34 +137,31 @@ def tau_tilde_bound(g, null_tolerance=system_mod.DEFAULT_NULL_TOLERANCE):
         raise PreconditionViolated("delay bound requires a strongly connected graph")
     delta_bar = graph_mod.degree_profile(g).delta_bar
     spec = system_mod.spectrum(system_mod.build_system(g, 0.0), null_tolerance)
-    nonnull = spec.eigenvalues[np.abs(spec.eigenvalues) > null_tolerance]
-    lam3 = nonnull[np.argmax(nonnull.real)]
+    lam3 = spec.nonnull[0]
     return (1.0 / (2.0 * delta_bar)) * math.atan(abs(lam3.real) / delta_bar)
 
 
-def rightmost_root(spec, tau, branch_window=2):
+def rightmost_root(spec, tau):
     """Rightmost non-null root of the quasi-polynomial at delay tau.
 
-    Scans s = W_k(tau * lambda_i) / tau over every non-null eigenvalue and every
-    branch k in [-branch_window, branch_window]; the null eigenvalue contributes
-    only s = 0 and is excluded.
+    Scans s = W_0(tau * lambda_i) / tau over the non-null eigenvalues. The
+    principal branch has the largest real part of all branches W_k (proved for
+    real arguments by Shinozaki and Mori, Automatica 42, 2006; the tests check
+    complex ones against scipy), so no other branch can hold the rightmost root.
+    The null eigenvalue contributes only s = 0 and is excluded.
     """
     if tau <= 0:
         raise InvalidParameter("tau must be positive, got %r" % (tau,))
     best = None
-    for i, lam in enumerate(spec.eigenvalues):
-        if abs(lam) <= spec.null_tolerance:
-            continue
-        for k in range(-branch_window, branch_window + 1):
-            s = lambert_w(tau * complex(lam), k) / tau
-            key = (s.real, s.imag)
-            if best is None or key > best[0]:
-                residual = abs(s * cmath.exp(s * tau) - lam)
-                best = (key, RightmostRoot(root=s, source_eigenvalue_index=i,
-                                           branch_index=k, residual=residual))
+    for i, lam in zip(spec.nonnull_index.tolist(), spec.nonnull.tolist()):
+        s = lambert_w(tau * lam) / tau
+        if best is None or (s.real, s.imag) > (best[0].real, best[0].imag):
+            best = (s, i, lam)
     if best is None:
         raise PreconditionViolated("spectrum has no non-null eigenvalue")
-    return best[1]
+    s, i, lam = best
+    return RightmostRoot(root=s, source_eigenvalue_index=i,
+                         residual=abs(s * cmath.exp(s * tau) - lam))
 
 
 def chebyshev_nodes_diff(order, span):
@@ -215,12 +215,13 @@ def sweep_tau_c(g, eps_grid, null_tolerance=system_mod.DEFAULT_NULL_TOLERANCE):
     return records
 
 
-def stability_map(g, eps_grid, tau_grid, branch_window=2,
+def stability_map(g, eps_grid, tau_grid,
                   null_tolerance=system_mod.DEFAULT_NULL_TOLERANCE):
     """Real part of the rightmost non-null root per (eps, tau) cell.
 
-    tau = 0 cells use the matrix eigenvalue directly. Failed cells hold NaN and
-    are listed in .failures.
+    tau > 0 cells take rightmost_root's principal-branch scan; tau = 0 cells
+    use the rightmost non-null matrix eigenvalue directly. Failed cells hold
+    NaN and are listed in .failures as (eps index, tau index, reason).
     """
     eps_grid = np.asarray(list(eps_grid), dtype=float)
     tau_grid = np.asarray(list(tau_grid), dtype=float)
@@ -234,23 +235,22 @@ def stability_map(g, eps_grid, tau_grid, branch_window=2,
         except NumericalFailure as exc:
             failures.extend((a, b, str(exc)) for b in range(tau_grid.size))
             continue
-        nonnull = spec.eigenvalues[np.abs(spec.eigenvalues) > null_tolerance]
         for b, tau in enumerate(tau_grid):
             try:
                 if tau == 0.0:
-                    values[a, b] = float(np.max(nonnull.real))
+                    values[a, b] = spec.nonnull[0].real
                 else:
-                    values[a, b] = rightmost_root(spec, tau, branch_window).root.real
+                    values[a, b] = rightmost_root(spec, tau).root.real
             except (NumericalFailure, PreconditionViolated, InvalidParameter) as exc:
                 failures.append((a, b, str(exc)))
     return StabilityMap(eps_grid=eps_grid, tau_grid=tau_grid,
                         lambda_r_real=values, failures=failures)
 
 
-def bisect_tau_crossing(spec, lo, hi, rel_tol=1e-9, branch_window=2, max_iter=200):
+def bisect_tau_crossing(spec, lo, hi, rel_tol=1e-9, max_iter=200):
     """Bisection on the sign of Re(rightmost root) over [lo, hi]."""
-    flo = rightmost_root(spec, lo, branch_window).root.real
-    fhi = rightmost_root(spec, hi, branch_window).root.real
+    flo = rightmost_root(spec, lo).root.real
+    fhi = rightmost_root(spec, hi).root.real
     if flo >= 0 or fhi <= 0:
         raise PreconditionViolated(
             "bracket [%g, %g] does not straddle the crossing (f = %g, %g)"
@@ -258,7 +258,7 @@ def bisect_tau_crossing(spec, lo, hi, rel_tol=1e-9, branch_window=2, max_iter=20
         )
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
-        if rightmost_root(spec, mid, branch_window).root.real < 0:
+        if rightmost_root(spec, mid).root.real < 0:
             lo = mid
         else:
             hi = mid

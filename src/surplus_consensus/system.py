@@ -38,6 +38,16 @@ class Spectrum:
     null_tolerance: float
     null_count: int
 
+    @property
+    def nonnull_index(self):
+        """Positions of the non-null eigenvalues, |lambda| > null_tolerance."""
+        return np.flatnonzero(np.abs(self.eigenvalues) > self.null_tolerance)
+
+    @property
+    def nonnull(self):
+        """Non-null eigenvalues in spectrum order; the rightmost is nonnull[0]."""
+        return self.eigenvalues[self.nonnull_index]
+
 
 @dataclass(frozen=True)
 class NullEigenvectors:
@@ -137,8 +147,7 @@ def find_eps_bar(g, eps_grid, null_tolerance=DEFAULT_NULL_TOLERANCE):
     best = None
     for eps in eps_grid:
         spec = spectrum(build_system(g, eps), null_tolerance)
-        nonnull = spec.eigenvalues[np.abs(spec.eigenvalues) > null_tolerance]
-        ok = spec.null_count == 1 and np.all(nonnull.real < -null_tolerance)
+        ok = spec.null_count == 1 and np.all(spec.nonnull.real < -null_tolerance)
         if not ok:
             break
         best = eps

@@ -33,6 +33,4 @@ def random_graphs():
 
 
 def max_nonnull_real(spec):
-    vals = spec.eigenvalues
-    nonnull = vals[np.abs(vals) > spec.null_tolerance]
-    return float(np.max(nonnull.real))
+    return float(np.max(spec.nonnull.real))

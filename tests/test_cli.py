@@ -98,7 +98,7 @@ def test_sweep_eps(tmp_path, capsys):
     summary = parse_summary(capsys.readouterr().out)
     assert float(summary["argmin_eps"]) == pytest.approx(1.1)
     assert (out / "sweep_eps.csv").read_text().splitlines()[0] == \
-        "eps,tau,re_lambda_r,im_lambda_r,source_index,branch,residual"
+        "eps,tau,re_lambda_r,im_lambda_r,source_index,residual"
 
 
 def test_sweep_tau_requires_eps(tmp_path, capsys):
@@ -107,11 +107,47 @@ def test_sweep_tau_requires_eps(tmp_path, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("mode,given", [
+    ("eps", ["--out", "OUT"]),
+    ("tau", ["--eps", "1.1", "--out", "OUT"]),
+    ("tau_c", ["--out", "OUT"]),
+    ("two_d", ["--eps-range", "0.9:0.2:1.3", "--out", "OUT"]),
+    ("two_d", ["--tau-range", "0:0.1:0.3", "--out", "OUT"]),
+    ("eps", ["--eps-range", "0.2:0.1:1.8"]),
+])
+def test_sweep_missing_argument(tmp_path, capsys, mode, given):
+    out = tmp_path / "s"
+    argv = ["sweep", "--mode", mode, "--graph", sc.demo_graph_path()]
+    assert run(argv + [str(out) if a == "OUT" else a for a in given]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: mode=%s requires --" % mode)
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--mode", "bogus", "--graph", "g.edges"],
+    ["simulate", "--graph", "g.edges", "--eps", "1", "--tau", "notanumber"],
+    ["sweep", "--mode", "tau", "--graph", "g.edges", "--jobs", "2"],
+    ["sweep", "--mode", "two_d", "--graph", "g.edges", "--branch-window", "5"],
+    ["analyze"],
+    [],
+])
+def test_usage_error_exits_4(argv, capsys):
+    assert run(argv) == 4
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert run(["--help"]) == 0
+    assert run(["sweep", "--help"]) == 0
+    assert "--tau-range" in capsys.readouterr().out
+
+
 def test_sweep_tau(tmp_path, capsys):
     out = tmp_path / "sweep"
     code = run(["sweep", "--mode", "tau", "--graph", sc.demo_graph_path(),
-                "--eps", "1.1", "--tau-range", "0:0.05:0.3", "--jobs", "2",
-                "--out", str(out)])
+                "--eps", "1.1", "--tau-range", "0:0.05:0.3", "--out", str(out)])
     assert code == 0
     summary = parse_summary(capsys.readouterr().out)
     assert summary["warnings"] == "0"

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import surplus_consensus as sc
 from surplus_consensus.system import Spectrum, sort_eigenvalues
@@ -53,6 +55,31 @@ def test_lambert_w_matches_scipy():
         mine = sc.lambert_w(z, k)
         ref = complex(scipy.special.lambertw(z, k))
         assert mine == pytest.approx(ref, abs=1e-9)
+
+
+@pytest.mark.parametrize("z", [0.390 + 0.495j, -0.314 + 0.352j])
+def test_lambert_w_principal_branch_regression(z):
+    # the residual-only acceptance returned W_-1 at the first z and raised at
+    # the second; the unwinding-number check and the restarts fix both
+    assert abs(sc.lambert_w(z, 0) - complex(scipy.special.lambertw(z, 0))) <= 1e-12
+
+
+# W is ill-conditioned at its branch point -1/e, where w is only determined to
+# about sqrt(tol); signed zeros are dropped because lambert_w ignores them, and
+# subnormals because scipy's W_k, k != 0, returns nan there
+_box = st.floats(-10.0, 10.0, allow_subnormal=False).map(lambda v: v + 0.0)
+
+
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+@given(_box, _box)
+def test_principal_branch_matches_scipy_and_dominates(x, y):
+    z = complex(x, y)
+    assume(abs(z + 1 / math.e) > 1e-3)
+    w0 = sc.lambert_w(z, 0)
+    assert abs(w0 - complex(scipy.special.lambertw(z, 0))) <= 1e-9 * max(1.0, abs(w0))
+    # rightmost_root scans W_0 only: no other branch may hold a root further right
+    for k in range(-3, 4):
+        assert w0.real >= complex(scipy.special.lambertw(z, k)).real - 1e-9
 
 
 def test_lambert_w_real_negative_branches():
@@ -161,13 +188,14 @@ def test_rightmost_root_residual_and_dominance(demo6):
                 assert s.real <= best.root.real + 1e-9
 
 
-def test_branch_sufficiency(demo6, random_graphs):
-    for g, eps, tau in [(demo6, 1.1, 0.19), (demo6, 0.7, 0.1),
-                        (random_graphs[3], 0.3, 0.2), (random_graphs[8], 0.4, 0.15)]:
-        spec = sc.spectrum(sc.build_system(g, eps))
-        r2 = sc.rightmost_root(spec, tau, branch_window=2)
-        r5 = sc.rightmost_root(spec, tau, branch_window=5)
-        assert abs(r2.root - r5.root) <= 1e-9
+def test_rightmost_root_wrong_branch_cell():
+    # the residual-only lambert_w returned W_-1 for the dominant eigenvalue
+    # here, so the scan reported -0.18886, left of the true rightmost root
+    g = sc.random_strongly_connected(9, 2, seed=30)
+    sys = sc.build_system(g, 0.2)
+    root = sc.rightmost_root(sc.spectrum(sys), 0.4).root
+    assert root.real == pytest.approx(-0.15733, abs=1e-5)
+    assert abs(root.real - sc.rightmost_root_oracle(sys, 0.4, 30).real) <= 1e-6
 
 
 # ---------------------------------------------------------------- oracle
