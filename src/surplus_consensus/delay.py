@@ -144,19 +144,22 @@ def tau_tilde_bound(g, null_tolerance=system_mod.DEFAULT_NULL_TOLERANCE):
 def rightmost_root(spec, tau):
     """Rightmost non-null root of the quasi-polynomial at delay tau.
 
-    Scans s = W_0(tau * lambda_i) / tau over the non-null eigenvalues. The
-    principal branch has the largest real part of all branches W_k (proved for
-    real arguments by Shinozaki and Mori, Automatica 42, 2006; the tests check
-    complex ones against scipy), so no other branch can hold the rightmost root.
-    The null eigenvalue contributes only s = 0 and is excluded.
+    Scans s = W_k(tau * lambda_i) / tau over the non-null eigenvalues and the
+    branches k in [-2, 2]. The principal branch has the largest real part of
+    all branches W_k (proved for real arguments by Shinozaki and Mori,
+    Automatica 42, 2006; the tests check complex ones against scipy), so the
+    root found is always a W_0 one and the other four branches never win;
+    cutting the scan to W_0 waits on the benchmark's call-count figures
+    (ROADMAP item 1). The null eigenvalue contributes only s = 0 and is excluded.
     """
     if tau <= 0:
         raise InvalidParameter("tau must be positive, got %r" % (tau,))
     best = None
     for i, lam in zip(spec.nonnull_index.tolist(), spec.nonnull.tolist()):
-        s = lambert_w(tau * lam) / tau
-        if best is None or (s.real, s.imag) > (best[0].real, best[0].imag):
-            best = (s, i, lam)
+        for k in range(-2, 3):
+            s = lambert_w(tau * lam, k) / tau
+            if best is None or (s.real, s.imag) > (best[0].real, best[0].imag):
+                best = (s, i, lam)
     if best is None:
         raise PreconditionViolated("spectrum has no non-null eigenvalue")
     s, i, lam = best
@@ -219,7 +222,7 @@ def stability_map(g, eps_grid, tau_grid,
                   null_tolerance=system_mod.DEFAULT_NULL_TOLERANCE):
     """Real part of the rightmost non-null root per (eps, tau) cell.
 
-    tau > 0 cells take rightmost_root's principal-branch scan; tau = 0 cells
+    tau > 0 cells take rightmost_root's branch scan; tau = 0 cells
     use the rightmost non-null matrix eigenvalue directly. Failed cells hold
     NaN and are listed in .failures as (eps index, tau index, reason).
     """

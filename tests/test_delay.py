@@ -77,7 +77,7 @@ def test_principal_branch_matches_scipy_and_dominates(x, y):
     assume(abs(z + 1 / math.e) > 1e-3)
     w0 = sc.lambert_w(z, 0)
     assert abs(w0 - complex(scipy.special.lambertw(z, 0))) <= 1e-9 * max(1.0, abs(w0))
-    # rightmost_root scans W_0 only: no other branch may hold a root further right
+    # the rightmost root is a W_0 one: no other branch may hold a root further right
     for k in range(-3, 4):
         assert w0.real >= complex(scipy.special.lambertw(z, k)).real - 1e-9
 
