@@ -1,40 +1,14 @@
-"""Fixed-step method-of-steps kernels for y'(t) = M y(t - tau).
+"""Fixed-step method-of-steps kernels for y'(t) = M y(t - tau), in numpy.
 
-The hot loop is compiled with numba when available; setting the environment
-variable SURPLUS_CONSENSUS_PURE_NUMPY=1 selects the pure-numpy path instead
-(same code, interpreted). `backend()` reports which path is active.
+The right-hand side reads only the delayed state, so every step in a window
+[s, s + d), d = tau/dt, depends on stored nodes at or before s alone (Bellen
+and Zennaro, Numerical Methods for Delay Differential Equations, 2003). A
+whole window is therefore two matrix products and one cumulative sum.
 """
-
-import os
 
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("SURPLUS_CONSENSUS_PURE_NUMPY", "0") not in ("", "0")
 
-try:
-    if _FORCE_NUMPY:
-        raise ImportError("numba disabled by SURPLUS_CONSENSUS_PURE_NUMPY")
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def deco(func):
-            return func
-
-        return deco
-
-
-def backend():
-    return "numba" if _HAVE_NUMBA else "numpy"
-
-
-@njit(cache=True)
 def integrate_delayed(mat, y0, delay_steps, nsteps, dt, blow_threshold):
     """Integrate y' = mat @ y(t - delay_steps*dt) from constant history y0.
 
@@ -42,59 +16,54 @@ def integrate_delayed(mat, y0, delay_steps, nsteps, dt, blow_threshold):
     on the delayed state, each step reduces to Simpson quadrature with the
     midpoint value obtained by cubic Hermite interpolation of the stored
     history. Returns (states, derivs, last_valid_index); the run stops early
-    when any |state| exceeds blow_threshold or turns non-finite.
+    when any |state| exceeds blow_threshold or turns non-finite, and rows after
+    last_valid_index are not meaningful.
     """
-    dim = y0.shape[0]
-    states = np.empty((nsteps + 1, dim))
-    derivs = np.empty((nsteps + 1, dim))
-    states[0] = y0
-    derivs[0] = mat @ y0
-    last = nsteps
-    for step in range(nsteps):
-        q = step - delay_steps
-        k1 = derivs[step]
-        if q + 1 <= 0:
-            ymid = y0
-            ynext_delayed = y0
-        else:
-            # midpoint of [t_q, t_{q+1}] from values and derivatives at the nodes
-            ymid = 0.5 * (states[q] + states[q + 1]) + (dt / 8.0) * (derivs[q] - derivs[q + 1])
-            ynext_delayed = states[q + 1]
-        kmid = mat @ ymid
-        k4 = mat @ ynext_delayed
-        states[step + 1] = states[step] + (dt / 6.0) * (k1 + 4.0 * kmid + k4)
-        derivs[step + 1] = k4
-        bad = False
-        for i in range(dim):
-            v = states[step + 1, i]
-            if not np.isfinite(v) or abs(v) > blow_threshold:
-                bad = True
-        if bad:
-            last = step + 1
-            break
-    return states, derivs, last
+    d = delay_steps
+    # d leading rows hold the constant history, so row j is time (j - d) * dt
+    # and every midpoint before t = 0 is exactly y0
+    states = np.empty((d + nsteps + 1, y0.shape[0]))
+    derivs = np.empty_like(states)
+    states[:d + 1] = y0
+    derivs[:d + 1] = mat @ y0
+    for s in range(0, nsteps, d):
+        e = min(s + d, nsteps)
+        # steps s..e-1 read the delayed nodes s..e, all at or before step s
+        ymid = (0.5 * (states[s:e] + states[s + 1:e + 1])
+                + (dt / 8.0) * (derivs[s:e] - derivs[s + 1:e + 1]))
+        derivs[s + d + 1:e + d + 1] = states[s + 1:e + 1] @ mat.T
+        # k1 of each step is the k4 of the step before it
+        states[s + d + 1:e + d + 1] = (dt / 6.0) * (
+            derivs[s + d:e + d] + 4.0 * (ymid @ mat.T) + derivs[s + d + 1:e + d + 1])
+        window = states[s + d:e + d + 1]
+        np.cumsum(window, axis=0, out=window)
+        bad = _first_bad_row(window[1:], blow_threshold)
+        if bad is not None:
+            return states[d:], derivs[d:], s + 1 + bad
+    return states[d:], derivs[d:], nsteps
 
 
-@njit(cache=True)
 def integrate_undelayed(mat, y0, nsteps, dt, blow_threshold):
-    """Classical RK4 for y' = mat @ y (the tau = 0 reduction)."""
-    dim = y0.shape[0]
-    states = np.empty((nsteps + 1, dim))
+    """Classical RK4 for y' = mat @ y (the tau = 0 reduction).
+
+    For a linear right-hand side one RK4 step is y <- P y with the fixed
+    polynomial P = I + hM (I + hM/2 (I + hM/3 (I + hM/4))).
+    """
+    hm = dt * mat
+    eye = np.eye(mat.shape[0])
+    step = eye + hm @ (eye + hm @ (eye + hm @ (eye + hm / 4.0) / 3.0) / 2.0)
+    states = np.empty((nsteps + 1, y0.shape[0]))
     states[0] = y0
-    last = nsteps
-    for step in range(nsteps):
-        y = states[step]
-        k1 = mat @ y
-        k2 = mat @ (y + 0.5 * dt * k1)
-        k3 = mat @ (y + 0.5 * dt * k2)
-        k4 = mat @ (y + dt * k3)
-        states[step + 1] = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        bad = False
-        for i in range(dim):
-            v = states[step + 1, i]
-            if not np.isfinite(v) or abs(v) > blow_threshold:
-                bad = True
-        if bad:
-            last = step + 1
-            break
-    return states, last
+    for s in range(nsteps):
+        states[s + 1] = step @ states[s]
+        if _first_bad_row(states[s + 1:s + 2], blow_threshold) is not None:
+            return states, s + 1
+    return states, nsteps
+
+
+def _first_bad_row(rows, blow_threshold):
+    """Index of the first row with a non-finite entry or one whose |value|
+    exceeds blow_threshold; None if there is none."""
+    peak = np.abs(rows).max(axis=1)
+    bad = np.flatnonzero(~np.isfinite(peak) | (peak > blow_threshold))
+    return int(bad[0]) if bad.size else None

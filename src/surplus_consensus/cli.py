@@ -75,7 +75,7 @@ def cmd_analyze(args):
         return EXIT_NOT_STRONGLY_CONNECTED
     prof = graph_mod.degree_profile(g)
     spec0 = system_mod.spectrum(system_mod.build_system(g, 0.0))
-    lam3 = spec0.nonnull[0]
+    lam3 = spec0.rightmost_nonnull
     slope = system_mod.lambda2_slope(g)
     tilde = delay_mod.tau_tilde_bound(g)
 
@@ -189,7 +189,7 @@ def cmd_sweep(args):
         grid = parse_range(args.eps_range)
         rows, values = [], []
         for eps in grid:
-            lam = system_mod.spectrum(system_mod.build_system(g, eps)).nonnull[0]
+            lam = system_mod.spectrum(system_mod.build_system(g, eps)).rightmost_nonnull
             values.append(lam.real)
             rows.append([_fmt(eps), "0", "%.17g" % lam.real, "%.17g" % lam.imag, "", ""])
         best = int(np.argmin(values))
@@ -205,7 +205,7 @@ def cmd_sweep(args):
         rows, values = [], []
         for tau in grid:
             if tau == 0.0:
-                lam, src, res = spec.nonnull[0], "", ""
+                lam, src, res = spec.rightmost_nonnull, "", ""
             else:
                 root = delay_mod.rightmost_root(spec, tau)
                 lam, src = root.root, str(root.source_eigenvalue_index)

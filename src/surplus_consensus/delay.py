@@ -42,7 +42,7 @@ class StabilityMap:
 def lambert_w(z, k=0, tol=1e-12, max_iter=100):
     """Branch k of the Lambert W function by Halley iteration.
 
-    Returns w with w * e^w = z, |w e^w - z| <= tol (absolute) and unwinding
+    Returns w with w * e^w = z, |w e^w - z| <= tol * min(1, |z|) and unwinding
     number k, Im(w + Log w - Log z) = 2 pi k (Corless et al., Adv. Comput. Math.
     5, 1996), since the residual alone cannot tell branches apart; a start point
     that diverges or lands on another branch is followed by the next. On real z
@@ -57,12 +57,14 @@ def lambert_w(z, k=0, tol=1e-12, max_iter=100):
         raise NumericalFailure("branch %d of W is singular at z = 0" % k)
     real_branch = k == -1 and z.imag == 0 and -1.0 / math.e <= z.real < 0
     log_z = cmath.log(z)
+    # relative for tiny |z|, where an absolute bound is met by any w with Re w << 0
+    bound = tol * min(1.0, abs(z))
     for w in _start_points(z, k, real_branch):
         try:
             for _ in range(max_iter):
                 ew = cmath.exp(w)
                 f = w * ew - z
-                if abs(f) <= tol:
+                if abs(f) <= bound:
                     break
                 wp1 = w + 1.0
                 denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
@@ -73,7 +75,7 @@ def lambert_w(z, k=0, tol=1e-12, max_iter=100):
             residual = abs(w * cmath.exp(w) - z)
         except OverflowError:  # the iteration diverged from this start point
             continue
-        if residual <= tol and (
+        if residual <= bound and (
                 real_branch
                 or abs((w + cmath.log(w) - log_z).imag - 2.0 * math.pi * k) < math.pi):
             return w
@@ -137,7 +139,7 @@ def tau_tilde_bound(g, null_tolerance=system_mod.DEFAULT_NULL_TOLERANCE):
         raise PreconditionViolated("delay bound requires a strongly connected graph")
     delta_bar = graph_mod.degree_profile(g).delta_bar
     spec = system_mod.spectrum(system_mod.build_system(g, 0.0), null_tolerance)
-    lam3 = spec.nonnull[0]
+    lam3 = spec.rightmost_nonnull
     return (1.0 / (2.0 * delta_bar)) * math.atan(abs(lam3.real) / delta_bar)
 
 
@@ -241,7 +243,7 @@ def stability_map(g, eps_grid, tau_grid,
         for b, tau in enumerate(tau_grid):
             try:
                 if tau == 0.0:
-                    values[a, b] = spec.nonnull[0].real
+                    values[a, b] = spec.rightmost_nonnull.real
                 else:
                     values[a, b] = rightmost_root(spec, tau).root.real
             except (NumericalFailure, PreconditionViolated, InvalidParameter) as exc:

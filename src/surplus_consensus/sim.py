@@ -1,7 +1,7 @@
 """Simulation of the delayed network dynamics with consensus metrics."""
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,13 +103,11 @@ def simulate(sys, cfg):
     else:
         verdict, decision_time = "inconclusive", times[-1]
         window = max(1, int(round(0.05 * cfg.t_final / dt)))
-        below = err < cfg.consensus_tolerance
-        run = 0
-        for i, flag in enumerate(below):
-            run = run + 1 if flag else 0
-            if run >= window + 1:
-                verdict, decision_time = "converged", times[i]
-                break
+        # below[i - window .. i] all true <=> window + 1 trues end at sample i
+        count = np.concatenate([[0], np.cumsum(err < cfg.consensus_tolerance)])
+        hits = np.flatnonzero(count[window + 1:] - count[:-window - 1] == window + 1)
+        if hits.size:
+            verdict, decision_time = "converged", times[hits[0] + window]
     return Trajectory(times=times, states=states, consensus_error=err,
                       conservation_drift=drift, verdict=verdict,
                       decision_time=float(decision_time), target=target)
@@ -132,12 +130,10 @@ def write_trajectory_csv(traj, path):
     header = (["t"] + ["x%d" % i for i in range(1, n + 1)]
               + ["z%d" % i for i in range(1, n + 1)]
               + ["consensus_error", "conservation_drift"])
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(traj.times.size):
-            row = ([traj.times[i]] + list(traj.states[i])
-                   + [traj.consensus_error[i], traj.conservation_drift[i]])
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+    table = np.column_stack([traj.times, traj.states, traj.consensus_error,
+                             traj.conservation_drift])
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(header),
+               comments="")
 
 
 def write_metadata(traj, cfg, path, seed=None, extra=None):
@@ -156,7 +152,6 @@ def write_metadata(traj, cfg, path, seed=None, extra=None):
         "decision_time": traj.decision_time,
         "consensus_target": traj.target,
         "convergence_time": convergence_time(traj, cfg.consensus_tolerance),
-        "integrator_backend": _integrator.backend(),
     }
     if extra:
         doc.update(extra)

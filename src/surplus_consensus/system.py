@@ -45,8 +45,16 @@ class Spectrum:
 
     @property
     def nonnull(self):
-        """Non-null eigenvalues in spectrum order; the rightmost is nonnull[0]."""
+        """Non-null eigenvalues in spectrum order, rightmost first."""
         return self.eigenvalues[self.nonnull_index]
+
+    @property
+    def rightmost_nonnull(self):
+        """The rightmost non-null eigenvalue; PreconditionViolated if none is."""
+        lam = self.nonnull
+        if lam.size == 0:
+            raise PreconditionViolated("spectrum has no non-null eigenvalue")
+        return lam[0]
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,17 @@ def test_analyze_not_strongly_connected(tmp_path, capsys):
     assert run(["analyze", "--graph", str(path)]) == 3
 
 
+@pytest.mark.parametrize("argv", [["analyze"], ["sweep", "--mode", "eps", "--eps-range",
+                                               "0:0.5:1", "--out", "{out}"]])
+def test_no_nonnull_eigenvalue_is_one_error_line(tmp_path, capsys, argv):
+    # M(0) of a one-node graph has no non-null eigenvalue
+    path = tmp_path / "one.edges"
+    path.write_text("n 1\n")
+    argv = [a.replace("{out}", str(tmp_path / "out")) for a in argv]
+    assert run(argv + ["--graph", str(path)]) == 1
+    assert capsys.readouterr().err == "error: spectrum has no non-null eigenvalue\n"
+
+
 def test_simulate_demo(tmp_path, capsys):
     out = tmp_path / "run"
     code = run(["simulate", "--graph", sc.demo_graph_path(), "--eps", "1.3",

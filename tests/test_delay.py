@@ -64,6 +64,14 @@ def test_lambert_w_principal_branch_regression(z):
     assert abs(sc.lambert_w(z, 0) - complex(scipy.special.lambertw(z, 0))) <= 1e-12
 
 
+@pytest.mark.parametrize("z, k", [(1e-14, 1), (1e-14, -1), (1e-13, 2), (5e-13, -2),
+                                  (1e-300, 1)])
+def test_lambert_w_tiny_argument_regression(z, k):
+    # an absolute residual bound accepted any w with Re w below about -30 here
+    ref = complex(scipy.special.lambertw(z, k))
+    assert abs(sc.lambert_w(z, k) - ref) <= 1e-13 * abs(ref)
+
+
 # W is ill-conditioned at its branch point -1/e, where w is only determined to
 # about sqrt(tol); signed zeros are dropped because lambert_w ignores them, and
 # subnormals because scipy's W_k, k != 0, returns nan there
@@ -274,6 +282,14 @@ def test_stability_map_consistency(demo6):
         for b, tau in enumerate(tau_grid):
             if tau > margin.tau_c:
                 assert smap.lambda_r_real[a, b] > 0
+
+
+def test_stability_map_lists_cells_without_nonnull_eigenvalue():
+    # M(0) of a one-node graph is the zero matrix: no non-null eigenvalue
+    smap = sc.stability_map(sc.build_graph(1, []), [0.0, 0.5], [0.0, 0.1])
+    assert [cell[:2] for cell in smap.failures] == [(0, 0), (0, 1)]
+    assert np.isnan(smap.lambda_r_real[0]).all()
+    assert np.isfinite(smap.lambda_r_real[1]).all()
 
 
 def test_crossing_bisection_matches_margin(demo6):

@@ -14,6 +14,9 @@ def test_equilibrium_is_stationary(demo6):
     assert np.max(np.abs(traj.states - traj.states[0])) <= 1e-12
     assert np.max(traj.consensus_error) <= 1e-12
     assert traj.verdict == "converged"
+    # the first sample that ends a run of window + 1 samples below tolerance
+    window = int(round(0.05 * cfg.t_final / (cfg.tau / 50)))
+    assert traj.decision_time == traj.times[window]
     assert sc.convergence_time(traj, 1e-4) == 0.0
 
 
@@ -38,6 +41,10 @@ def test_beyond_margin_diverges(demo6):
     traj = sc.simulate(sc.build_system(demo6, 1.1), cfg)
     assert traj.verdict == "diverged"
     assert sc.convergence_time(traj, 1e-4) is None
+    # the run ends on the first row over the threshold
+    peak = np.abs(traj.states).max(axis=1)
+    assert peak[-1] > cfg.divergence_threshold
+    assert np.all(peak[:-1] <= cfg.divergence_threshold)
 
 
 def test_consensus_target():
@@ -94,6 +101,36 @@ def test_tau_zero_matches_expm(demo6):
     assert np.max(np.abs(traj.states[-1] - ref)) <= 1e-8
 
 
+def reference_delayed(mat, y0, delay_steps, nsteps, dt):
+    """The delayed scheme one step at a time: Simpson's rule on each step with
+    the delayed midpoint from cubic Hermite interpolation of the nodes."""
+    ys = [y0]
+
+    def y(j):  # node j, constant history before t = 0
+        return ys[j] if j >= 0 else y0
+
+    def f(j):  # y'(t_j) = M y(t_j - tau)
+        return mat @ y(j - delay_steps)
+
+    for s in range(nsteps):
+        q = s - delay_steps
+        ymid = 0.5 * (y(q) + y(q + 1)) + (dt / 8.0) * (f(q) - f(q + 1))
+        ys.append(ys[s] + (dt / 6.0) * (f(s) + 4.0 * (mat @ ymid) + mat @ y(q + 1)))
+    return np.array(ys)
+
+
+def test_delayed_kernel_matches_stepwise_reference(demo6):
+    # 1275 steps: 25 full delay windows of 50 steps and a partial one
+    rng = np.random.RandomState(5)
+    x0 = rng.uniform(0, 1, 6)
+    sys = sc.build_system(demo6, 1.3)
+    cfg = sc.SimConfig(epsilon=1.3, tau=0.2, x0=x0, dt=0.2 / 50, t_final=5.1)
+    traj = sc.simulate(sys, cfg)
+    ref = reference_delayed(sys.m, np.concatenate([x0, np.zeros(6)]), 50, 1275, 0.2 / 50)
+    assert traj.states.shape == ref.shape
+    assert np.max(np.abs(traj.states - ref)) <= 1e-12
+
+
 def test_integrator_order(demo6):
     sys = sc.build_system(demo6, 1.3)
     rng = np.random.RandomState(8)
@@ -127,4 +164,3 @@ def test_trajectory_csv_and_metadata(tmp_path, demo6):
     meta = json.loads(meta_path.read_text())
     assert meta["verdict"] == traj.verdict
     assert meta["seed"] == 6
-    assert meta["integrator_backend"] in ("numba", "numpy")
