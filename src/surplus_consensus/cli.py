@@ -5,6 +5,7 @@ stdout and writes CSV/JSON artifacts to --out when requested.
 """
 
 import argparse
+import csv
 import os
 import sys
 
@@ -26,6 +27,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_GRAPH = 2
 EXIT_NOT_STRONGLY_CONNECTED = 3
 EXIT_BAD_CONFIG = 4
+EXIT_NUMERICAL_FAILURE = 5
+EXIT_INTERNAL_ERROR = 6
 
 ROOT_COLUMNS = ["eps", "tau", "re_lambda_r", "im_lambda_r", "source_index", "residual"]
 
@@ -182,7 +185,8 @@ def cmd_sweep(args):
         print("error: graph is not strongly connected", file=sys.stderr)
         return EXIT_NOT_STRONGLY_CONNECTED
     os.makedirs(args.out, exist_ok=True)
-    warnings = 0
+    # failed cells, (eps, tau, reason); tau is empty when a whole eps failed
+    failures = []
     summary = [("command", "sweep"), ("mode", args.mode)]
 
     if args.mode == "eps":
@@ -227,7 +231,7 @@ def cmd_sweep(args):
         finite = []
         for eps, margin, err in records:
             if margin is None:
-                warnings += 1
+                failures.append((_fmt(eps), "", err))
                 rows.append([_fmt(eps), "nan", "", ""])
             else:
                 finite.append((margin.tau_c, eps))
@@ -245,7 +249,8 @@ def cmd_sweep(args):
         eps_grid = parse_range(args.eps_range)
         tau_grid = parse_range(args.tau_range)
         smap = delay_mod.stability_map(g, eps_grid, tau_grid)
-        warnings += len(smap.failures)
+        failures = [(_fmt(smap.eps_grid[a]), _fmt(smap.tau_grid[b]), reason)
+                    for a, b, reason in smap.failures]
         rows = []
         for a, eps in enumerate(smap.eps_grid):
             for b, tau in enumerate(smap.tau_grid):
@@ -263,7 +268,12 @@ def cmd_sweep(args):
                     ("min_re_lambda_r", _fmt(smap.lambda_r_real[a, b])),
                     ("csv", path)]
 
-    summary.append(("warnings", warnings))
+    if failures:
+        with open(os.path.join(args.out, "failures.csv"), "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["eps", "tau", "reason"])
+            writer.writerows(failures)
+    summary.append(("warnings", len(failures)))
     _summary(summary)
     return EXIT_OK
 
@@ -369,8 +379,12 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BAD_CONFIG
     except ConsensusError as exc:
+        # NumericalFailure, PreconditionViolated, NoAdmissibleEpsilon
         print("error: %s" % exc, file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        return EXIT_NUMERICAL_FAILURE
+    except Exception as exc:
+        print("error: unexpected %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -65,8 +65,51 @@ def test_no_nonnull_eigenvalue_is_one_error_line(tmp_path, capsys, argv):
     path = tmp_path / "one.edges"
     path.write_text("n 1\n")
     argv = [a.replace("{out}", str(tmp_path / "out")) for a in argv]
-    assert run(argv + ["--graph", str(path)]) == 1
+    assert run(argv + ["--graph", str(path)]) == 5
     assert capsys.readouterr().err == "error: spectrum has no non-null eigenvalue\n"
+
+
+@pytest.mark.parametrize("mode,ranges,row", [
+    ("two_d", ["--eps-range", "0:0.5:0", "--tau-range", "0:0.1:0"],
+     "0,0,spectrum has no non-null eigenvalue"),
+    ("tau_c", ["--eps-range", "0:0.5:0"],
+     '0,,"expected exactly one null eigenvalue, found 2"'),
+])
+def test_sweep_writes_failure_reasons(tmp_path, capsys, mode, ranges, row):
+    # M(0) of a one-node graph has no non-null eigenvalue
+    path = tmp_path / "one.edges"
+    path.write_text("n 1\n")
+    out = tmp_path / "out"
+    assert run(["sweep", "--mode", mode, "--graph", str(path), "--out", str(out)]
+               + ranges) == 0
+    assert parse_summary(capsys.readouterr().out)["warnings"] == "1"
+    assert (out / "failures.csv").read_text() == "eps,tau,reason\n%s\n" % row
+
+
+def test_sweep_without_failures_writes_no_failure_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["sweep", "--mode", "two_d", "--graph", sc.demo_graph_path(),
+                "--eps-range", "0.9:0.2:1.1", "--tau-range", "0:0.1:0.1",
+                "--out", str(out)]) == 0
+    assert parse_summary(capsys.readouterr().out)["warnings"] == "0"
+    assert not (out / "failures.csv").exists()
+
+
+def test_failed_check_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(cli.delay_mod, "rightmost_root_oracle", lambda *a: 1.0 + 0j)
+    assert run(["verify", "--graph", sc.demo_graph_path()]) == 1
+    captured = capsys.readouterr()
+    assert parse_summary(captured.out)["oracle_agreement"] == "FAIL"
+    assert captured.err == "failed checks: oracle_agreement\n"
+
+
+def test_unexpected_error_is_one_line_exit_6(monkeypatch, capsys):
+    def boom(*args):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli.sim_mod, "simulate", boom)
+    assert run(["simulate", "--graph", sc.demo_graph_path(), "--eps", "1.3",
+                "--tau", "0.18"]) == 6
+    assert capsys.readouterr().err == "error: unexpected RuntimeError: boom\n"
 
 
 def test_simulate_demo(tmp_path, capsys):

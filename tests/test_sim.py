@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,3 +166,90 @@ def test_trajectory_csv_and_metadata(tmp_path, demo6):
     meta = json.loads(meta_path.read_text())
     assert meta["verdict"] == traj.verdict
     assert meta["seed"] == 6
+
+
+def converged_run(demo6):
+    rng = np.random.RandomState(6)
+    cfg = sc.SimConfig(epsilon=1.3, tau=0.2, x0=rng.uniform(0, 1, 6), t_final=5.0)
+    return sc.simulate(sc.build_system(demo6, 1.3), cfg)
+
+
+def overflowing_run(demo6, x0=None):
+    # beyond the margin (tau_c = 0.206) with no divergence threshold: the run
+    # ends on the first row with an inf or a nan
+    if x0 is None:
+        x0 = 1e300 * np.random.RandomState(3).uniform(0, 1, 6)
+    cfg = sc.SimConfig(epsilon=1.1, tau=0.4, x0=x0, t_final=200.0,
+                       divergence_threshold=np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return sc.simulate(sc.build_system(demo6, 1.1), cfg)
+
+
+def savetxt_reference(traj, path):
+    n = traj.states.shape[1] // 2
+    header = ",".join(["t"] + ["x%d" % i for i in range(1, n + 1)]
+                      + ["z%d" % i for i in range(1, n + 1)]
+                      + ["consensus_error", "conservation_drift"])
+    table = np.column_stack([traj.times, traj.states, traj.consensus_error,
+                             traj.conservation_drift])
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
+
+
+def head(traj, rows):
+    return dataclasses.replace(
+        traj, times=traj.times[:rows], states=traj.states[:rows],
+        consensus_error=traj.consensus_error[:rows],
+        conservation_drift=traj.conservation_drift[:rows])
+
+
+@pytest.mark.parametrize("rows", [1, 1024, 1025])
+def test_trajectory_csv_matches_savetxt(tmp_path, demo6, rows):
+    traj = head(converged_run(demo6), rows)
+    from surplus_consensus.sim import write_trajectory_csv
+    write_trajectory_csv(traj, str(tmp_path / "blocks.csv"))
+    savetxt_reference(traj, str(tmp_path / "ref.csv"))
+    written = (tmp_path / "blocks.csv").read_bytes()
+    assert written == (tmp_path / "ref.csv").read_bytes()
+    assert written.count(b"\n") == rows + 1
+
+
+def test_trajectory_csv_matches_savetxt_on_overflow(tmp_path, demo6):
+    traj = overflowing_run(demo6)
+    assert traj.verdict == "diverged" and traj.times.size > 1025
+    from surplus_consensus.sim import write_trajectory_csv
+    write_trajectory_csv(traj, str(tmp_path / "blocks.csv"))
+    savetxt_reference(traj, str(tmp_path / "ref.csv"))
+    written = (tmp_path / "blocks.csv").read_bytes()
+    assert written == (tmp_path / "ref.csv").read_bytes()
+    last = written.splitlines()[-1].split(b",")
+    assert b"inf" in last and last[-1] == b"nan"
+
+
+@pytest.mark.parametrize("run", ["converged", "overflow", "nan"])
+def test_consensus_error_is_max_abs_deviation(demo6, run):
+    if run == "converged":
+        traj = converged_run(demo6)
+    elif run == "overflow":
+        traj = overflowing_run(demo6)
+    else:
+        # M y0 overflows to inf - inf at the first step
+        traj = overflowing_run(demo6, 1e308 * np.array([1.0, -1.0] * 3))
+        assert np.isnan(traj.consensus_error[-1])
+    with np.errstate(invalid="ignore"):
+        ref = np.max(np.abs(traj.states[:, :6] - traj.target), axis=1)
+    assert np.array_equal(traj.consensus_error, ref, equal_nan=True)
+
+
+def test_simulate_holds_one_trajectory_array(demo6):
+    # 20,000 steps: the states are the only array that grows with the run
+    rng = np.random.RandomState(2)
+    sys = sc.build_system(demo6, 1.3)
+    cfg = sc.SimConfig(epsilon=1.3, tau=0.2, x0=rng.uniform(0, 1, 6), t_final=80.0)
+    tracemalloc.start()
+    try:
+        traj = sc.simulate(sys, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traj.times.size == 20001
+    assert peak <= 2 * traj.states.nbytes
