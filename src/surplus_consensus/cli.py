@@ -20,6 +20,8 @@ from .errors import (
     GraphFormatError,
     InvalidConfig,
     InvalidParameter,
+    NumericalFailure,
+    PreconditionViolated,
 )
 
 EXIT_OK = 0
@@ -31,6 +33,9 @@ EXIT_NUMERICAL_FAILURE = 5
 EXIT_INTERNAL_ERROR = 6
 
 ROOT_COLUMNS = ["eps", "tau", "re_lambda_r", "im_lambda_r", "source_index", "residual"]
+
+# what one cell of an eps or tau sweep may raise; the sweep records it and goes on
+CELL_ERRORS = (NumericalFailure, PreconditionViolated)
 
 # arguments each sweep mode needs besides --graph and --out
 SWEEP_REQUIRES = {
@@ -191,38 +196,51 @@ def cmd_sweep(args):
 
     if args.mode == "eps":
         grid = parse_range(args.eps_range)
-        rows, values = [], []
+        rows, finite = [], []
         for eps in grid:
-            lam = system_mod.spectrum(system_mod.build_system(g, eps)).rightmost_nonnull
-            values.append(lam.real)
+            try:
+                lam = system_mod.spectrum(system_mod.build_system(g, eps)).rightmost_nonnull
+            except CELL_ERRORS as exc:
+                failures.append((_fmt(eps), "0", str(exc)))
+                rows.append([_fmt(eps), "0", "nan", "", "", ""])
+                continue
+            finite.append((lam.real, eps))
             rows.append([_fmt(eps), "0", "%.17g" % lam.real, "%.17g" % lam.imag, "", ""])
-        best = int(np.argmin(values))
+        best = min(finite) if finite else (float("nan"), float("nan"))
         path = os.path.join(args.out, "sweep_eps.csv")
         _write_csv(path, ROOT_COLUMNS, rows,
-                   "argmin eps=%s re_lambda_r=%.17g" % (_fmt(grid[best]), values[best]))
-        summary += [("argmin_eps", _fmt(grid[best])),
-                    ("min_re_lambda_r", _fmt(values[best])), ("csv", path)]
+                   "argmin eps=%s re_lambda_r=%.17g" % (_fmt(best[1]), best[0]))
+        summary += [("argmin_eps", _fmt(best[1])),
+                    ("min_re_lambda_r", _fmt(best[0])), ("csv", path)]
 
     elif args.mode == "tau":
         grid = parse_range(args.tau_range)
         spec = system_mod.spectrum(system_mod.build_system(g, args.eps))
-        rows, values = [], []
+        rows, finite, residuals = [], [], []
         for tau in grid:
-            if tau == 0.0:
-                lam, src, res = spec.rightmost_nonnull, "", ""
-            else:
-                root = delay_mod.rightmost_root(spec, tau)
-                lam, src = root.root, str(root.source_eigenvalue_index)
-                res = "%.3g" % root.residual
-            values.append(lam.real)
+            try:
+                if tau == 0.0:
+                    lam, src, res = spec.rightmost_nonnull, "", ""
+                else:
+                    root = delay_mod.rightmost_root(spec, tau)
+                    lam, src = root.root, str(root.source_eigenvalue_index)
+                    res = "%.3g" % root.residual
+                    residuals.append(root.residual)
+            except CELL_ERRORS as exc:
+                failures.append((_fmt(args.eps), _fmt(tau), str(exc)))
+                rows.append([_fmt(args.eps), _fmt(tau), "nan", "", "", ""])
+                continue
+            finite.append((lam.real, tau))
             rows.append([_fmt(args.eps), _fmt(tau), "%.17g" % lam.real,
                          "%.17g" % lam.imag, src, res])
-        best = int(np.argmin(values))
+        best = min(finite) if finite else (float("nan"), float("nan"))
         path = os.path.join(args.out, "sweep_tau.csv")
         _write_csv(path, ROOT_COLUMNS, rows,
-                   "argmin tau=%s re_lambda_r=%.17g" % (_fmt(grid[best]), values[best]))
-        summary += [("eps", _fmt(args.eps)), ("argmin_tau", _fmt(grid[best])),
-                    ("min_re_lambda_r", _fmt(values[best])), ("csv", path)]
+                   "argmin tau=%s re_lambda_r=%.17g" % (_fmt(best[1]), best[0]))
+        summary += [("eps", _fmt(args.eps)), ("argmin_tau", _fmt(best[1])),
+                    ("min_re_lambda_r", _fmt(best[0])),
+                    ("max_root_residual", "%.3g" % max(residuals, default=float("nan"))),
+                    ("csv", path)]
 
     elif args.mode == "tau_c":
         grid = parse_range(args.eps_range)
@@ -266,6 +284,7 @@ def cmd_sweep(args):
         summary += [("argmin_eps", _fmt(smap.eps_grid[a])),
                     ("argmin_tau", _fmt(smap.tau_grid[b])),
                     ("min_re_lambda_r", _fmt(smap.lambda_r_real[a, b])),
+                    ("max_root_residual", "%.3g" % smap.max_root_residual),
                     ("csv", path)]
 
     if failures:

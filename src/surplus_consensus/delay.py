@@ -37,6 +37,7 @@ class StabilityMap:
     tau_grid: np.ndarray
     lambda_r_real: np.ndarray
     failures: list = field(default_factory=list)
+    max_root_residual: float = math.nan
 
 
 def lambert_w(z, k=0, tol=1e-12, max_iter=100):
@@ -57,37 +58,37 @@ def lambert_w(z, k=0, tol=1e-12, max_iter=100):
         raise NumericalFailure("branch %d of W is singular at z = 0" % k)
     real_branch = k == -1 and z.imag == 0 and -1.0 / math.e <= z.real < 0
     log_z = cmath.log(z)
+    two_pi_k = 2.0 * math.pi * k
+    abs_z = abs(z)
     # relative for tiny |z|, where an absolute bound is met by any w with Re w << 0
-    bound = tol * min(1.0, abs(z))
-    for w in _start_points(z, k, real_branch):
+    bound = tol * abs_z if abs_z < 1.0 else tol
+    for w in _start_points(z, k, real_branch, log_z, two_pi_k):
         try:
-            for _ in range(max_iter):
+            stalled = False
+            # the loop exits only after computing f for the current w, so the
+            # residual checked is that of the w returned
+            for i in range(max_iter + 1):
                 ew = cmath.exp(w)
                 f = w * ew - z
-                if abs(f) <= bound:
+                if abs(f) <= bound or stalled or i == max_iter:
                     break
                 wp1 = w + 1.0
-                denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-                step = f / denom
+                step = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
                 w = w - step
-                if abs(step) <= 1e-17 * max(1.0, abs(w)):
-                    break
-            residual = abs(w * cmath.exp(w) - z)
+                stalled = abs(step) <= 1e-17 * max(1.0, abs(w))
         except OverflowError:  # the iteration diverged from this start point
             continue
-        if residual <= bound and (
-                real_branch
-                or abs((w + cmath.log(w) - log_z).imag - 2.0 * math.pi * k) < math.pi):
+        if abs(f) <= bound and (
+                real_branch or abs((w + cmath.log(w) - log_z).imag - two_pi_k) < math.pi):
             return w
     raise NumericalFailure("Lambert W branch %d failed to converge for z = %r" % (k, z))
 
 
-def _start_points(z, k, real_branch):
+def _start_points(z, k, real_branch, log_z, two_pi_k):
     """Initial guesses for branch k at z, best first."""
-    p2 = 2.0 * (math.e * z + 1.0)
     if k == 0 and abs(z) <= 1.0 / math.e:
         yield z * (1.0 - z + 1.5 * z * z)
-    elif k in (0, -1) and abs(p2) < 0.8:
+    elif k in (0, -1) and abs(p2 := 2.0 * (math.e * z + 1.0)) < 0.8:
         # series around the branch point at -1/e
         p = cmath.sqrt(p2)
         if k == -1:
@@ -98,10 +99,15 @@ def _start_points(z, k, real_branch):
     elif real_branch:
         ln = math.log(-z.real)
         yield complex(ln - math.log(-ln))
-    # asymptotic guess; near |z| = 1/e it and the ones above can fall into the
-    # basin of a neighbouring branch
-    w = cmath.log(z) + 2j * math.pi * k
-    yield w - cmath.log(w) if abs(w) > 1.0 else w
+    # asymptotic guesses L1 - L2 + L2 / L1, then L1 - L2; near |z| = 1/e they and the
+    # ones above can fall into a neighbouring branch's basin, and within rounding of
+    # the cut (-1/e, 0) the first can stop with Im w of the wrong sign
+    w = log_z + two_pi_k * 1j
+    if abs(w) > 1.0:
+        log_w = cmath.log(w)
+        yield w - log_w + log_w / w
+        w = w - log_w
+    yield w
     if k == 0:
         yield cmath.log(1.0 + z)
         yield z * (3.0 + 6.0 * z + z * z) / (3.0 + 9.0 * z + 5.0 * z * z)
@@ -147,21 +153,25 @@ def rightmost_root(spec, tau):
     """Rightmost non-null root of the quasi-polynomial at delay tau.
 
     Scans s = W_k(tau * lambda_i) / tau over the non-null eigenvalues and the
-    branches k in [-2, 2]. The principal branch has the largest real part of
-    all branches W_k (proved for real arguments by Shinozaki and Mori,
+    branches k in [-2, 2] and keeps the largest (Re s, Im s): of a conjugate
+    pair, the root with Im s >= 0. The principal branch has the largest real
+    part of all branches W_k (proved for real arguments by Shinozaki and Mori,
     Automatica 42, 2006; the tests check complex ones against scipy), so the
     root found is always a W_0 one and the other four branches never win;
     cutting the scan to W_0 waits on the benchmark's call-count figures
     (ROADMAP item 1). The null eigenvalue contributes only s = 0 and is excluded.
+    Cost: 5 (2n - 1) lambert_w calls at n nodes, 5-7 us each on one core of a
+    2-vCPU Xeon; at n = 200 one call takes 11-14 ms.
     """
     if tau <= 0:
         raise InvalidParameter("tau must be positive, got %r" % (tau,))
-    best = None
+    best, best_re, best_im = None, -math.inf, -math.inf
     for i, lam in zip(spec.nonnull_index.tolist(), spec.nonnull.tolist()):
+        z = tau * lam
         for k in range(-2, 3):
-            s = lambert_w(tau * lam, k) / tau
-            if best is None or (s.real, s.imag) > (best[0].real, best[0].imag):
-                best = (s, i, lam)
+            s = lambert_w(z, k) / tau
+            if s.real > best_re or (s.real == best_re and s.imag > best_im):
+                best, best_re, best_im = (s, i, lam), s.real, s.imag
     if best is None:
         raise PreconditionViolated("spectrum has no non-null eigenvalue")
     s, i, lam = best
@@ -226,14 +236,16 @@ def stability_map(g, eps_grid, tau_grid,
 
     tau > 0 cells take rightmost_root's branch scan; tau = 0 cells
     use the rightmost non-null matrix eigenvalue directly. Failed cells hold
-    NaN and are listed in .failures as (eps index, tau index, reason).
+    NaN and are listed in .failures as (eps index, tau index, reason);
+    .max_root_residual is the largest root residual over the tau > 0 cells
+    (NaN if there is none).
     """
     eps_grid = np.asarray(list(eps_grid), dtype=float)
     tau_grid = np.asarray(list(tau_grid), dtype=float)
     if eps_grid.size == 0 or tau_grid.size == 0:
         raise InvalidParameter("grids must be non-empty")
     values = np.full((eps_grid.size, tau_grid.size), np.nan)
-    failures = []
+    failures, residuals = [], []
     for a, eps in enumerate(eps_grid):
         try:
             spec = system_mod.spectrum(system_mod.build_system(g, eps), null_tolerance)
@@ -245,11 +257,14 @@ def stability_map(g, eps_grid, tau_grid,
                 if tau == 0.0:
                     values[a, b] = spec.rightmost_nonnull.real
                 else:
-                    values[a, b] = rightmost_root(spec, tau).root.real
+                    root = rightmost_root(spec, tau)
+                    values[a, b] = root.root.real
+                    residuals.append(root.residual)
             except (NumericalFailure, PreconditionViolated, InvalidParameter) as exc:
                 failures.append((a, b, str(exc)))
-    return StabilityMap(eps_grid=eps_grid, tau_grid=tau_grid,
-                        lambda_r_real=values, failures=failures)
+    return StabilityMap(eps_grid=eps_grid, tau_grid=tau_grid, lambda_r_real=values,
+                        failures=failures,
+                        max_root_residual=max(residuals, default=math.nan))
 
 
 def bisect_tau_crossing(spec, lo, hi, rel_tol=1e-9, max_iter=200):

@@ -58,8 +58,7 @@ def test_analyze_not_strongly_connected(tmp_path, capsys):
     assert run(["analyze", "--graph", str(path)]) == 3
 
 
-@pytest.mark.parametrize("argv", [["analyze"], ["sweep", "--mode", "eps", "--eps-range",
-                                               "0:0.5:1", "--out", "{out}"]])
+@pytest.mark.parametrize("argv", [["analyze"]])
 def test_no_nonnull_eigenvalue_is_one_error_line(tmp_path, capsys, argv):
     # M(0) of a one-node graph has no non-null eigenvalue
     path = tmp_path / "one.edges"
@@ -74,6 +73,9 @@ def test_no_nonnull_eigenvalue_is_one_error_line(tmp_path, capsys, argv):
      "0,0,spectrum has no non-null eigenvalue"),
     ("tau_c", ["--eps-range", "0:0.5:0"],
      '0,,"expected exactly one null eigenvalue, found 2"'),
+    ("eps", ["--eps-range", "0:0.5:0"], "0,0,spectrum has no non-null eigenvalue"),
+    ("tau", ["--eps", "0", "--tau-range", "0.1:0.1:0.1"],
+     "0,0.1,spectrum has no non-null eigenvalue"),
 ])
 def test_sweep_writes_failure_reasons(tmp_path, capsys, mode, ranges, row):
     # M(0) of a one-node graph has no non-null eigenvalue
@@ -84,6 +86,25 @@ def test_sweep_writes_failure_reasons(tmp_path, capsys, mode, ranges, row):
                + ranges) == 0
     assert parse_summary(capsys.readouterr().out)["warnings"] == "1"
     assert (out / "failures.csv").read_text() == "eps,tau,reason\n%s\n" % row
+
+
+def test_sweep_eps_and_tau_keep_going_past_failed_cells(tmp_path, capsys):
+    # M(0) of a one-node graph has no non-null eigenvalue; M(eps > 0) has -eps
+    path = tmp_path / "one.edges"
+    path.write_text("n 1\n")
+    out = tmp_path / "out"
+    assert run(["sweep", "--mode", "eps", "--graph", str(path), "--out", str(out),
+                "--eps-range", "0:0.5:1"]) == 0
+    summary = parse_summary(capsys.readouterr().out)
+    assert (summary["warnings"], summary["argmin_eps"]) == ("1", "1")
+    rows = (out / "sweep_eps.csv").read_text().splitlines()[1:4]
+    assert [row.split(",")[2] for row in rows] == ["nan", "-0.5", "-1"]
+    # no finite cell: the summary reports nan
+    assert run(["sweep", "--mode", "tau", "--graph", str(path), "--out", str(out),
+                "--eps", "0", "--tau-range", "0:0.1:0.2"]) == 0
+    summary = parse_summary(capsys.readouterr().out)
+    assert summary["warnings"] == "3"
+    assert summary["min_re_lambda_r"] == summary["max_root_residual"] == "nan"
 
 
 def test_sweep_without_failures_writes_no_failure_file(tmp_path, capsys):
@@ -208,6 +229,9 @@ def test_sweep_tau(tmp_path, capsys):
     rows = [l for l in (out / "sweep_tau.csv").read_text().splitlines()
             if l and not l.startswith(("#", "eps"))]
     assert len(rows) == 7
+    # the largest residual column entry, which covers the tau > 0 rows
+    assert summary["max_root_residual"] == max(
+        (row.split(",")[5] for row in rows[1:]), key=float)
 
 
 def test_sweep_tau_c(tmp_path, capsys):
@@ -227,6 +251,7 @@ def test_sweep_two_d(tmp_path, capsys):
     assert code == 0
     summary = parse_summary(capsys.readouterr().out)
     assert float(summary["min_re_lambda_r"]) < 0
+    assert 0 <= float(summary["max_root_residual"]) <= 1e-10
     assert (out / "stability_map.csv").exists()
 
 

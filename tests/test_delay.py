@@ -90,6 +90,26 @@ def test_principal_branch_matches_scipy_and_dominates(x, y):
         assert w0.real >= complex(scipy.special.lambertw(z, k)).real - 1e-9
 
 
+def test_lambert_w_returns_only_a_w_that_meets_the_bound():
+    # with a few Halley steps the iterate is still moving: lambert_w either raises
+    # or returns a w whose own residual, not an earlier iterate's, meets the bound
+    rng = np.random.RandomState(3)
+    zs = (rng.uniform(-50, 50, 40) + 1j * rng.uniform(-50, 50, 40)).tolist()
+    zs += [-0.3 + 1e-3j, -0.3 - 1e-16j, 2e3 - 1e4j, 1e-10]
+    returned = raised = 0
+    for max_iter in range(4):
+        for z in zs:
+            for k in range(-2, 3):
+                try:
+                    w = sc.lambert_w(z, k, max_iter=max_iter)
+                except sc.NumericalFailure:
+                    raised += 1
+                    continue
+                returned += 1
+                assert abs(w * cmath.exp(w) - z) <= 1e-12 * min(1.0, abs(z))
+    assert returned > 0 and raised > 0
+
+
 def test_lambert_w_real_negative_branches():
     # real z in (-1/e, 0): both real branches
     for z in [-0.05, -0.2, -0.3]:
@@ -196,6 +216,23 @@ def test_rightmost_root_residual_and_dominance(demo6):
                 assert s.real <= best.root.real + 1e-9
 
 
+def test_rightmost_root_matches_brute_force_reference(demo6):
+    # the reference is the (Re, Im) maximum over every candidate, so the scan may
+    # not drift to the conjugate root or to another eigenvalue
+    n40 = sc.random_strongly_connected(40, 120, seed=5)
+    for g, eps in [(demo6, 1.1), (demo6, 0.4), (n40, 1.0)]:
+        spec = sc.spectrum(sc.build_system(g, eps))
+        for tau in [0.01, 0.05, 0.1, 0.19, 0.3, 0.6, 1.2]:
+            s, i, lam = max(((complex(scipy.special.lambertw(tau * lam, k)) / tau, i, lam)
+                             for i, lam in zip(spec.nonnull_index, spec.nonnull)
+                             for k in range(-2, 3)),
+                            key=lambda c: (c[0].real, c[0].imag))
+            best = sc.rightmost_root(spec, tau)
+            assert best.source_eigenvalue_index == i
+            assert abs(best.root - s) <= 1e-9 * max(1.0, abs(s))
+            assert abs(best.residual - abs(s * cmath.exp(s * tau) - lam)) <= 1e-12
+
+
 def test_rightmost_root_wrong_branch_cell():
     # the residual-only lambert_w returned W_-1 for the dominant eigenvalue
     # here, so the scan reported -0.18886, left of the true rightmost root
@@ -282,6 +319,9 @@ def test_stability_map_consistency(demo6):
         for b, tau in enumerate(tau_grid):
             if tau > margin.tau_c:
                 assert smap.lambda_r_real[a, b] > 0
+    assert smap.max_root_residual == max(
+        sc.rightmost_root(sc.spectrum(sc.build_system(demo6, eps)), tau).residual
+        for eps in eps_grid for tau in tau_grid[1:])
 
 
 def test_stability_map_lists_cells_without_nonnull_eigenvalue():
