@@ -20,8 +20,6 @@ from .errors import (
     GraphFormatError,
     InvalidConfig,
     InvalidParameter,
-    NumericalFailure,
-    PreconditionViolated,
 )
 
 EXIT_OK = 0
@@ -34,15 +32,13 @@ EXIT_INTERNAL_ERROR = 6
 
 ROOT_COLUMNS = ["eps", "tau", "re_lambda_r", "im_lambda_r", "source_index", "residual"]
 
-# what one cell of an eps or tau sweep may raise; the sweep records it and goes on
-CELL_ERRORS = (NumericalFailure, PreconditionViolated)
-
-# arguments each sweep mode needs besides --graph and --out
-SWEEP_REQUIRES = {
-    "eps": ("eps_range",),
-    "tau": ("eps", "tau_range"),
-    "two_d": ("eps_range", "tau_range"),
-    "tau_c": ("eps_range",),
+# each sweep mode: the CSV it writes into --out, and the arguments it needs
+# besides --graph and --out
+SWEEP_MODES = {
+    "eps": ("sweep_eps.csv", ("eps_range",)),
+    "tau": ("sweep_tau.csv", ("eps", "tau_range")),
+    "two_d": ("stability_map.csv", ("eps_range", "tau_range")),
+    "tau_c": ("sweep_tau_c.csv", ("eps_range",)),
 }
 
 
@@ -179,74 +175,27 @@ def _write_csv(path, header, rows, summary_comment):
 
 
 def cmd_sweep(args):
-    missing = [name for name in ("out",) + SWEEP_REQUIRES[args.mode]
-               if getattr(args, name) is None]
+    csv_name, required = SWEEP_MODES[args.mode]
+    missing = [name for name in ("out",) + required if getattr(args, name) is None]
     if missing:
         print("error: mode=%s requires %s" % (args.mode, ", ".join(
             "--" + name.replace("_", "-") for name in missing)), file=sys.stderr)
         return EXIT_BAD_CONFIG
+    # eps: the eps range x {0}; tau: {--eps} x the tau range
+    eps_grid = [args.eps] if args.mode == "tau" else parse_range(args.eps_range)
+    tau_grid = parse_range(args.tau_range) if "tau_range" in required else [0.0]
     g = load_graph(args.graph)
     if not graph_mod.is_strongly_connected(g):
         print("error: graph is not strongly connected", file=sys.stderr)
         return EXIT_NOT_STRONGLY_CONNECTED
-    os.makedirs(args.out, exist_ok=True)
-    # failed cells, (eps, tau, reason); tau is empty when a whole eps failed
-    failures = []
+    path = os.path.join(args.out, csv_name)
     summary = [("command", "sweep"), ("mode", args.mode)]
 
-    if args.mode == "eps":
-        grid = parse_range(args.eps_range)
-        rows, finite = [], []
-        for eps in grid:
-            try:
-                lam = system_mod.spectrum(system_mod.build_system(g, eps)).rightmost_nonnull
-            except CELL_ERRORS as exc:
-                failures.append((_fmt(eps), "0", str(exc)))
-                rows.append([_fmt(eps), "0", "nan", "", "", ""])
-                continue
-            finite.append((lam.real, eps))
-            rows.append([_fmt(eps), "0", "%.17g" % lam.real, "%.17g" % lam.imag, "", ""])
-        best = min(finite) if finite else (float("nan"), float("nan"))
-        path = os.path.join(args.out, "sweep_eps.csv")
-        _write_csv(path, ROOT_COLUMNS, rows,
-                   "argmin eps=%s re_lambda_r=%.17g" % (_fmt(best[1]), best[0]))
-        summary += [("argmin_eps", _fmt(best[1])),
-                    ("min_re_lambda_r", _fmt(best[0])), ("csv", path)]
-
-    elif args.mode == "tau":
-        grid = parse_range(args.tau_range)
-        spec = system_mod.spectrum(system_mod.build_system(g, args.eps))
-        rows, finite, residuals = [], [], []
-        for tau in grid:
-            try:
-                if tau == 0.0:
-                    lam, src, res = spec.rightmost_nonnull, "", ""
-                else:
-                    root = delay_mod.rightmost_root(spec, tau)
-                    lam, src = root.root, str(root.source_eigenvalue_index)
-                    res = "%.3g" % root.residual
-                    residuals.append(root.residual)
-            except CELL_ERRORS as exc:
-                failures.append((_fmt(args.eps), _fmt(tau), str(exc)))
-                rows.append([_fmt(args.eps), _fmt(tau), "nan", "", "", ""])
-                continue
-            finite.append((lam.real, tau))
-            rows.append([_fmt(args.eps), _fmt(tau), "%.17g" % lam.real,
-                         "%.17g" % lam.imag, src, res])
-        best = min(finite) if finite else (float("nan"), float("nan"))
-        path = os.path.join(args.out, "sweep_tau.csv")
-        _write_csv(path, ROOT_COLUMNS, rows,
-                   "argmin tau=%s re_lambda_r=%.17g" % (_fmt(best[1]), best[0]))
-        summary += [("eps", _fmt(args.eps)), ("argmin_tau", _fmt(best[1])),
-                    ("min_re_lambda_r", _fmt(best[0])),
-                    ("max_root_residual", "%.3g" % max(residuals, default=float("nan"))),
-                    ("csv", path)]
-
-    elif args.mode == "tau_c":
-        grid = parse_range(args.eps_range)
-        records = delay_mod.sweep_tau_c(g, grid)
-        rows = []
-        finite = []
+    # the library rejects a negative eps or tau (exit 4) before --out exists
+    if args.mode == "tau_c":
+        records = delay_mod.sweep_tau_c(g, eps_grid)
+        os.makedirs(args.out, exist_ok=True)
+        rows, finite, failures = [], [], []
         for eps, margin, err in records:
             if margin is None:
                 failures.append((_fmt(eps), "", err))
@@ -257,42 +206,39 @@ def cmd_sweep(args):
                              str(margin.limiting_eigenvalue_index),
                              "%.17g" % margin.crossing_frequency])
         best = max(finite) if finite else (float("nan"), float("nan"))
-        path = os.path.join(args.out, "sweep_tau_c.csv")
         _write_csv(path, ["eps", "tau_c", "limiting_index", "omega"], rows,
                    "argmax eps=%s tau_c=%.17g" % (_fmt(best[1]), best[0]))
-        summary += [("argmax_eps", _fmt(best[1])), ("max_tau_c", _fmt(best[0])),
-                    ("csv", path)]
-
-    elif args.mode == "two_d":
-        eps_grid = parse_range(args.eps_range)
-        tau_grid = parse_range(args.tau_range)
+        summary += [("argmax_eps", _fmt(best[1])), ("max_tau_c", _fmt(best[0]))]
+    else:
         smap = delay_mod.stability_map(g, eps_grid, tau_grid)
+        os.makedirs(args.out, exist_ok=True)
         failures = [(_fmt(smap.eps_grid[a]), _fmt(smap.tau_grid[b]), reason)
                     for a, b, reason in smap.failures]
         rows = []
-        for a, eps in enumerate(smap.eps_grid):
-            for b, tau in enumerate(smap.tau_grid):
-                rows.append([_fmt(eps), _fmt(tau),
-                             "%.17g" % smap.lambda_r_real[a, b], "", "", ""])
-        flat = np.where(np.isnan(smap.lambda_r_real), np.inf, smap.lambda_r_real)
-        a, b = np.unravel_index(int(np.argmin(flat)), flat.shape)
-        path = os.path.join(args.out, "stability_map.csv")
-        _write_csv(path, ROOT_COLUMNS, rows,
-                   "argmin eps=%s tau=%s re_lambda_r=%.17g"
-                   % (_fmt(smap.eps_grid[a]), _fmt(smap.tau_grid[b]),
-                      smap.lambda_r_real[a, b]))
-        summary += [("argmin_eps", _fmt(smap.eps_grid[a])),
-                    ("argmin_tau", _fmt(smap.tau_grid[b])),
-                    ("min_re_lambda_r", _fmt(smap.lambda_r_real[a, b])),
-                    ("max_root_residual", "%.3g" % smap.max_root_residual),
-                    ("csv", path)]
+        for (a, b), root in np.ndenumerate(smap.roots):
+            src, res = smap.source_index[a, b], smap.residual[a, b]
+            fields = ["nan", "", "", ""] if np.isnan(root.real) else [
+                "%.17g" % root.real, "%.17g" % root.imag,
+                "" if src < 0 else str(src), "" if np.isnan(res) else "%.3g" % res]
+            rows.append([_fmt(smap.eps_grid[a]), _fmt(smap.tau_grid[b])] + fields)
+        # the grids ascend, so ties go to the first cell in row order
+        best_re, best_eps, best_tau = min(
+            ((re, smap.eps_grid[a], smap.tau_grid[b])
+             for (a, b), re in np.ndenumerate(smap.lambda_r_real) if not np.isnan(re)),
+            default=(float("nan"),) * 3)
+        _write_csv(path, ROOT_COLUMNS, rows, "argmin eps=%s tau=%s re_lambda_r=%.17g"
+                   % (_fmt(best_eps), _fmt(best_tau), best_re))
+        summary += [("argmin_eps", _fmt(best_eps)), ("argmin_tau", _fmt(best_tau)),
+                    ("min_re_lambda_r", _fmt(best_re)),
+                    ("max_root_residual", "%.3g" % smap.max_root_residual)]
 
+    # failed cells, (eps, tau, reason); tau is empty in tau_c mode
     if failures:
         with open(os.path.join(args.out, "failures.csv"), "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["eps", "tau", "reason"])
             writer.writerows(failures)
-    summary.append(("warnings", len(failures)))
+    summary += [("csv", path), ("warnings", len(failures))]
     _summary(summary)
     return EXIT_OK
 
@@ -371,7 +317,7 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="parameter sweeps over eps and tau")
     common(p)
-    p.add_argument("--mode", required=True, choices=list(SWEEP_REQUIRES))
+    p.add_argument("--mode", required=True, choices=list(SWEEP_MODES))
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--eps-range", default=None, help="a:step:b")
     p.add_argument("--tau-range", default=None, help="a:step:b")

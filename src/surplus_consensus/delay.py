@@ -14,7 +14,12 @@ import numpy as np
 
 from . import graph as graph_mod
 from . import system as system_mod
-from .errors import InvalidParameter, NumericalFailure, PreconditionViolated
+from .errors import (
+    InvalidParameter,
+    NumericalFailure,
+    PreconditionViolated,
+    require_non_negative,
+)
 
 
 @dataclass(frozen=True)
@@ -35,9 +40,20 @@ class RightmostRoot:
 class StabilityMap:
     eps_grid: np.ndarray
     tau_grid: np.ndarray
-    lambda_r_real: np.ndarray
+    roots: np.ndarray
+    source_index: np.ndarray
+    residual: np.ndarray
     failures: list = field(default_factory=list)
-    max_root_residual: float = math.nan
+
+    @property
+    def lambda_r_real(self):
+        return self.roots.real
+
+    @property
+    def max_root_residual(self):
+        """Largest root residual over the tau > 0 cells; NaN if there is none."""
+        finite = self.residual[~np.isnan(self.residual)]
+        return float(finite.max()) if finite.size else math.nan
 
 
 def lambert_w(z, k=0, tol=1e-12, max_iter=100):
@@ -164,7 +180,7 @@ def rightmost_root(spec, tau):
     2-vCPU Xeon; at n = 200 one call takes 11-14 ms.
     """
     if tau <= 0:
-        raise InvalidParameter("tau must be positive, got %r" % (tau,))
+        raise InvalidParameter("tau must be positive, got %r" % (float(tau),))
     best, best_re, best_im = None, -math.inf, -math.inf
     for i, lam in zip(spec.nonnull_index.tolist(), spec.nonnull.tolist()):
         z = tau * lam
@@ -197,7 +213,7 @@ def rightmost_root_oracle(sys, tau, discretization_order=30, null_tolerance=1e-7
     """Rightmost non-null eigenvalue of a pseudospectral discretization of the
     delay system's generator on [-tau, 0]; independent of the Lambert W route."""
     if tau <= 0:
-        raise InvalidParameter("tau must be positive, got %r" % (tau,))
+        raise InvalidParameter("tau must be positive, got %r" % (float(tau),))
     if discretization_order < 10:
         raise InvalidParameter("discretization order must be at least 10")
     m = sys.m.shape[0]
@@ -208,63 +224,68 @@ def rightmost_root_oracle(sys, tau, discretization_order=30, null_tolerance=1e-7
     gen[m:, :] = np.kron(d[1:], np.eye(m))
     # boundary row at theta = 0: dy/dt = M y(-tau); the delay lands on the last node
     gen[:m, m * order:] = sys.m
-    try:
-        vals = np.linalg.eigvals(gen)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("oracle eigenvalue computation failed: %s" % exc)
-    nonnull = vals[np.abs(vals) > null_tolerance]
-    idx = np.lexsort((-nonnull.imag, -nonnull.real))[0]
-    return complex(nonnull[idx])
+    return complex(system_mod.spectrum_of_matrix(gen, null_tolerance).rightmost_nonnull)
 
 
 def sweep_tau_c(g, eps_grid, null_tolerance=system_mod.DEFAULT_NULL_TOLERANCE):
     """tau_c over an epsilon grid. Returns (eps, DelayMargin | None, error | None)
-    records; inadmissible grid points are reported, not fatal."""
+    records; inadmissible grid points are reported, not fatal, and a negative
+    epsilon raises InvalidParameter before any work."""
+    eps_grid = [float(eps) for eps in eps_grid]
+    require_non_negative("epsilon", eps_grid)
     records = []
     for eps in eps_grid:
         try:
             spec = system_mod.spectrum(system_mod.build_system(g, eps), null_tolerance)
-            records.append((float(eps), tau_critical(spec), None))
-        except (PreconditionViolated, NumericalFailure, InvalidParameter) as exc:
-            records.append((float(eps), None, str(exc)))
+            records.append((eps, tau_critical(spec), None))
+        except (NumericalFailure, PreconditionViolated) as exc:
+            records.append((eps, None, str(exc)))
     return records
 
 
 def stability_map(g, eps_grid, tau_grid,
                   null_tolerance=system_mod.DEFAULT_NULL_TOLERANCE):
-    """Real part of the rightmost non-null root per (eps, tau) cell.
+    """Rightmost non-null root per (eps, tau) cell, the one scan of every sweep.
 
-    tau > 0 cells take rightmost_root's branch scan; tau = 0 cells
-    use the rightmost non-null matrix eigenvalue directly. Failed cells hold
-    NaN and are listed in .failures as (eps index, tau index, reason);
-    .max_root_residual is the largest root residual over the tau > 0 cells
-    (NaN if there is none).
+    tau > 0 cells take rightmost_root's branch scan and keep its root,
+    source eigenvalue index and residual; tau = 0 cells take the rightmost
+    non-null matrix eigenvalue, with source index -1 and residual NaN. A cell
+    whose spectrum or root fails holds root NaN, source index -1 and residual
+    NaN, and is listed in .failures as (eps index, tau index, reason). A
+    negative eps or tau raises InvalidParameter before any work.
+    .lambda_r_real and .max_root_residual are derived from these arrays.
     """
     eps_grid = np.asarray(list(eps_grid), dtype=float)
     tau_grid = np.asarray(list(tau_grid), dtype=float)
     if eps_grid.size == 0 or tau_grid.size == 0:
         raise InvalidParameter("grids must be non-empty")
-    values = np.full((eps_grid.size, tau_grid.size), np.nan)
-    failures, residuals = [], []
+    require_non_negative("epsilon", eps_grid)
+    require_non_negative("tau", tau_grid)
+    shape = (eps_grid.size, tau_grid.size)
+    roots = np.full(shape, np.nan, dtype=complex)
+    source_index = np.full(shape, -1)
+    residual = np.full(shape, np.nan)
+    failures = []
     for a, eps in enumerate(eps_grid):
         try:
             spec = system_mod.spectrum(system_mod.build_system(g, eps), null_tolerance)
-        except NumericalFailure as exc:
+        except (NumericalFailure, PreconditionViolated) as exc:
             failures.extend((a, b, str(exc)) for b in range(tau_grid.size))
             continue
         for b, tau in enumerate(tau_grid):
             try:
                 if tau == 0.0:
-                    values[a, b] = spec.rightmost_nonnull.real
+                    roots[a, b] = spec.rightmost_nonnull
                 else:
                     root = rightmost_root(spec, tau)
-                    values[a, b] = root.root.real
-                    residuals.append(root.residual)
-            except (NumericalFailure, PreconditionViolated, InvalidParameter) as exc:
+                    roots[a, b] = root.root
+                    source_index[a, b] = root.source_eigenvalue_index
+                    residual[a, b] = root.residual
+            except (NumericalFailure, PreconditionViolated) as exc:
                 failures.append((a, b, str(exc)))
-    return StabilityMap(eps_grid=eps_grid, tau_grid=tau_grid, lambda_r_real=values,
-                        failures=failures,
-                        max_root_residual=max(residuals, default=math.nan))
+    return StabilityMap(eps_grid=eps_grid, tau_grid=tau_grid, roots=roots,
+                        source_index=source_index, residual=residual,
+                        failures=failures)
 
 
 def bisect_tau_crossing(spec, lo, hi, rel_tol=1e-9, max_iter=200):

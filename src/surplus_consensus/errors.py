@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the parameter check they share."""
 
 
 class ConsensusError(Exception):
@@ -35,3 +35,10 @@ class NoAdmissibleEpsilon(ConsensusError):
 
 class InvalidConfig(ConsensusError):
     """Simulation configuration violates its invariants."""
+
+
+def require_non_negative(name, values):
+    """Raise InvalidParameter naming the first negative entry of values."""
+    for v in values:
+        if v < 0:
+            raise InvalidParameter("%s must be non-negative, got %r" % (name, float(v)))

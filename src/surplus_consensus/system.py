@@ -18,6 +18,7 @@ from .errors import (
     NoAdmissibleEpsilon,
     NumericalFailure,
     PreconditionViolated,
+    require_non_negative,
 )
 
 DEFAULT_NULL_TOLERANCE = 1e-9
@@ -76,8 +77,7 @@ class NullEigenvectors:
 
 
 def build_system(g, epsilon):
-    if epsilon < 0:
-        raise InvalidParameter("epsilon must be non-negative, got %r" % (epsilon,))
+    require_non_negative("epsilon", [epsilon])
     lap = graph_mod.laplacians(g)
     n = g.n
     eye = np.eye(n)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,6 +106,66 @@ def test_sweep_eps_and_tau_keep_going_past_failed_cells(tmp_path, capsys):
     summary = parse_summary(capsys.readouterr().out)
     assert summary["warnings"] == "3"
     assert summary["min_re_lambda_r"] == summary["max_root_residual"] == "nan"
+
+
+@pytest.mark.parametrize("mode,ranges,message", [
+    ("eps", ["--eps-range=-0.5:0.5:0.5"], "epsilon must be non-negative, got -0.5"),
+    ("tau", ["--eps=-0.5", "--tau-range", "0:0.1:0.2"],
+     "epsilon must be non-negative, got -0.5"),
+    ("tau", ["--eps", "1.1", "--tau-range=-0.1:0.1:0.1"],
+     "tau must be non-negative, got -0.1"),
+    ("two_d", ["--eps-range=-0.5:0.5:0.5", "--tau-range", "0:0.1:0.1"],
+     "epsilon must be non-negative, got -0.5"),
+    ("two_d", ["--eps-range", "0.5:0.5:0.5", "--tau-range=-0.1:0.1:0.1"],
+     "tau must be non-negative, got -0.1"),
+    ("tau_c", ["--eps-range=-0.5:0.5:0.5"], "epsilon must be non-negative, got -0.5"),
+], ids=["eps", "tau-eps", "tau-tau", "two_d-eps", "two_d-tau", "tau_c"])
+def test_sweep_negative_eps_or_tau_is_a_usage_error(tmp_path, capsys, mode, ranges,
+                                                    message):
+    out = tmp_path / "out"
+    assert run(["sweep", "--mode", mode, "--graph", sc.demo_graph_path(),
+                "--out", str(out)] + ranges) == 4
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not out.exists()
+
+
+def _sweep_rows(tmp_path, capsys, mode, *ranges):
+    out = tmp_path / mode
+    assert run(["sweep", "--mode", mode, "--graph", sc.demo_graph_path(),
+                "--out", str(out)] + list(ranges)) == 0
+    summary = parse_summary(capsys.readouterr().out)
+    lines = Path(summary["csv"]).read_text().splitlines()
+    assert lines[0] == "eps,tau,re_lambda_r,im_lambda_r,source_index,residual"
+    return [line for line in lines[1:] if not line.startswith("#")]
+
+
+def test_sweep_eps_rows_are_the_tau_0_rows_of_two_d(tmp_path, capsys):
+    eps_rows = _sweep_rows(tmp_path, capsys, "eps", "--eps-range", "0.2:0.3:1.7")
+    two_d_rows = _sweep_rows(tmp_path, capsys, "two_d", "--eps-range", "0.2:0.3:1.7",
+                             "--tau-range", "0:0.1:0.3")
+    assert len(eps_rows) == 6
+    assert eps_rows == [row for row in two_d_rows if row.split(",")[1] == "0"]
+
+
+def test_sweep_tau_rows_are_those_of_a_one_eps_two_d(tmp_path, capsys):
+    tau_rows = _sweep_rows(tmp_path, capsys, "tau", "--eps", "1.1",
+                           "--tau-range", "0:0.05:0.3")
+    two_d_rows = _sweep_rows(tmp_path, capsys, "two_d", "--eps-range", "1.1:0.1:1.1",
+                             "--tau-range", "0:0.05:0.3")
+    assert len(tau_rows) == 7
+    assert tau_rows == two_d_rows
+
+
+def test_sweep_two_d_without_finite_cell_reports_nan(tmp_path, capsys):
+    # M(0) of a one-node graph has no non-null eigenvalue
+    path = tmp_path / "one.edges"
+    path.write_text("n 1\n")
+    assert run(["sweep", "--mode", "two_d", "--graph", str(path), "--out",
+                str(tmp_path / "out"), "--eps-range", "0:0.5:0",
+                "--tau-range", "0:0.1:0.2"]) == 0
+    summary = parse_summary(capsys.readouterr().out)
+    assert (summary["argmin_eps"], summary["argmin_tau"], summary["min_re_lambda_r"],
+            summary["max_root_residual"], summary["warnings"]) == ("nan",) * 4 + ("3",)
 
 
 def test_sweep_without_failures_writes_no_failure_file(tmp_path, capsys):

@@ -332,6 +332,47 @@ def test_stability_map_lists_cells_without_nonnull_eigenvalue():
     assert np.isfinite(smap.lambda_r_real[1]).all()
 
 
+def test_stability_map_keeps_each_cells_whole_root(demo6):
+    smap = sc.stability_map(demo6, [0.8, 1.1], [0.0, 0.1, 0.3])
+    for a, eps in enumerate(smap.eps_grid):
+        spec = sc.spectrum(sc.build_system(demo6, eps))
+        # tau = 0: the matrix eigenvalue, no source index, no residual
+        assert smap.roots[a, 0] == spec.rightmost_nonnull
+        assert smap.source_index[a, 0] == -1 and np.isnan(smap.residual[a, 0])
+        for b in (1, 2):
+            root = sc.rightmost_root(spec, smap.tau_grid[b])
+            assert smap.roots[a, b] == root.root
+            assert smap.source_index[a, b] == root.source_eigenvalue_index
+            assert smap.residual[a, b] == root.residual
+    assert np.array_equal(smap.lambda_r_real, smap.roots.real)
+
+
+def test_stability_map_failed_cells_hold_nan():
+    smap = sc.stability_map(sc.build_graph(1, []), [0.0], [0.0, 0.1])
+    assert np.isnan(smap.roots.real).all()
+    assert (smap.source_index == -1).all() and np.isnan(smap.residual).all()
+    assert math.isnan(smap.max_root_residual)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda g: sc.stability_map(g, np.array([0.5, -0.5]), [0.1]),
+     "epsilon must be non-negative, got -0.5"),
+    (lambda g: sc.stability_map(g, [0.5], np.array([0.0, -0.1])),
+     "tau must be non-negative, got -0.1"),
+    (lambda g: sc.sweep_tau_c(g, np.array([0.5, -0.5])),
+     "epsilon must be non-negative, got -0.5"),
+    (lambda g: sc.build_system(g, np.float64(-0.5)),
+     "epsilon must be non-negative, got -0.5"),
+    (lambda g: sc.rightmost_root(sc.spectrum(sc.build_system(g, 1.0)), np.float64(-0.1)),
+     "tau must be positive, got -0.1"),
+], ids=["stability_map-eps", "stability_map-tau", "sweep_tau_c", "build_system",
+        "rightmost_root"])
+def test_negative_parameter_raises_with_a_plain_float(demo6, call, message):
+    with pytest.raises(sc.InvalidParameter) as info:
+        call(demo6)
+    assert str(info.value) == message
+
+
 def test_crossing_bisection_matches_margin(demo6):
     spec = sc.spectrum(sc.build_system(demo6, 1.1))
     margin = sc.tau_critical(spec)
