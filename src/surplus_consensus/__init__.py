@@ -55,7 +55,6 @@ from .system import (
     NullEigenvectors,
     Spectrum,
     build_system,
-    export_matrix_csv,
     find_eps_bar,
     lambda2_slope,
     null_eigenvectors,

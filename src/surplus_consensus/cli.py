@@ -51,6 +51,8 @@ def parse_range(text):
         a, step, b = (float(p) for p in parts)
     except ValueError:
         raise InvalidParameter("range %r has a non-numeric field" % text)
+    if not np.isfinite([a, step, b]).all():
+        raise InvalidParameter("range %r has a non-finite field" % text)
     if step <= 0 or b < a:
         raise InvalidParameter("range %r must be ascending with positive step" % text)
     count = int(round((b - a) / step))
@@ -152,7 +154,7 @@ def cmd_simulate(args):
         sim_mod.write_trajectory_csv(traj, os.path.join(args.out, "trajectory.csv"))
         sim_mod.write_metadata(traj, cfg, os.path.join(args.out, "trajectory.json"),
                                seed=args.seed, extra={"graph": args.graph})
-    conv = sim_mod.convergence_time(traj, cfg.consensus_tolerance)
+    conv = sim_mod.convergence_time(traj)
     _summary([
         ("command", "simulate"),
         ("eps", _fmt(args.eps)),
@@ -297,18 +299,20 @@ def build_parser():
                     "spectra, delay margins, rightmost roots, simulation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, out=False, seed=False):
         p.add_argument("--graph", required=True, help="edge-list or .json adjacency file")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=0)
+        if out:
+            p.add_argument("--out", default=None, help="output directory")
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="initial-state seed")
 
     p = sub.add_parser("analyze", help="spectral and delay-margin report")
-    common(p)
+    common(p, out=True)
     p.add_argument("--eps", type=float, default=None)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("simulate", help="integrate the delayed dynamics")
-    common(p)
+    common(p, out=True, seed=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--dt", type=float, default=None)
@@ -316,7 +320,7 @@ def build_parser():
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="parameter sweeps over eps and tau")
-    common(p)
+    common(p, out=True)
     p.add_argument("--mode", required=True, choices=list(SWEEP_MODES))
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--eps-range", default=None, help="a:step:b")
@@ -324,7 +328,7 @@ def build_parser():
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="cross-checks: oracle, bisection, conservation")
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_verify)
     return parser
 

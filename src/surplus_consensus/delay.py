@@ -21,6 +21,12 @@ from .errors import (
     require_non_negative,
 )
 
+LAMBERT_W_TOL = 1e-12
+# the oracle generator's null eigenvalue carries ~100 times the rounding of M(eps)'s
+ORACLE_NULL_TOLERANCE = 1e-7
+BISECTION_REL_TOL = 1e-9
+BISECTION_MAX_ITER = 200
+
 
 @dataclass(frozen=True)
 class DelayMargin:
@@ -56,14 +62,14 @@ class StabilityMap:
         return float(finite.max()) if finite.size else math.nan
 
 
-def lambert_w(z, k=0, tol=1e-12, max_iter=100):
+def lambert_w(z, k=0, max_iter=100):
     """Branch k of the Lambert W function by Halley iteration.
 
-    Returns w with w * e^w = z, |w e^w - z| <= tol * min(1, |z|) and unwinding
-    number k, Im(w + Log w - Log z) = 2 pi k (Corless et al., Adv. Comput. Math.
-    5, 1996), since the residual alone cannot tell branches apart; a start point
-    that diverges or lands on another branch is followed by the next. On real z
-    in [-1/e, 0) both real branches have unwinding number 0, so W_-1 is exempt.
+    Returns w with |w e^w - z| <= LAMBERT_W_TOL * min(1, |z|) and unwinding number
+    k, Im(w + Log w - Log z) = 2 pi k (Corless et al., Adv. Comput. Math. 5, 1996),
+    since the residual alone cannot tell branches apart; a start point that
+    diverges or lands on another branch is followed by the next. On real z in
+    [-1/e, 0) both real branches have unwinding number 0, so W_-1 is exempt.
     A signed zero imaginary part is ignored: a cut takes the value from above.
     """
     z = complex(z) + 0.0
@@ -77,7 +83,7 @@ def lambert_w(z, k=0, tol=1e-12, max_iter=100):
     two_pi_k = 2.0 * math.pi * k
     abs_z = abs(z)
     # relative for tiny |z|, where an absolute bound is met by any w with Re w << 0
-    bound = tol * abs_z if abs_z < 1.0 else tol
+    bound = LAMBERT_W_TOL * abs_z if abs_z < 1.0 else LAMBERT_W_TOL
     for w in _start_points(z, k, real_branch, log_z, two_pi_k):
         try:
             stalled = False
@@ -150,7 +156,7 @@ def tau_critical(spec):
                        crossing_frequency=float(radius[j]))
 
 
-def tau_tilde_bound(g, null_tolerance=system_mod.DEFAULT_NULL_TOLERANCE):
+def tau_tilde_bound(g):
     """Topology-only delay bound (1 / 2 delta_bar) * arctan(|Re lambda_3(0)| / delta_bar).
 
     lambda_3(0) is the rightmost non-null eigenvalue of the eps = 0 system matrix.
@@ -160,7 +166,7 @@ def tau_tilde_bound(g, null_tolerance=system_mod.DEFAULT_NULL_TOLERANCE):
     if not graph_mod.is_strongly_connected(g):
         raise PreconditionViolated("delay bound requires a strongly connected graph")
     delta_bar = graph_mod.degree_profile(g).delta_bar
-    spec = system_mod.spectrum(system_mod.build_system(g, 0.0), null_tolerance)
+    spec = system_mod.spectrum(system_mod.build_system(g, 0.0))
     lam3 = spec.rightmost_nonnull
     return (1.0 / (2.0 * delta_bar)) * math.atan(abs(lam3.real) / delta_bar)
 
@@ -175,7 +181,9 @@ def rightmost_root(spec, tau):
     Automatica 42, 2006; the tests check complex ones against scipy), so the
     root found is always a W_0 one and the other four branches never win;
     cutting the scan to W_0 waits on the benchmark's call-count figures
-    (ROADMAP item 1). The null eigenvalue contributes only s = 0 and is excluded.
+    (ROADMAP item 1). So a branch k != 0 that raises NumericalFailure is skipped,
+    and only a W_0 failure fails the scan. The null eigenvalue contributes only
+    s = 0 and is excluded.
     Cost: 5 (2n - 1) lambert_w calls at n nodes, 5-7 us each on one core of a
     2-vCPU Xeon; at n = 200 one call takes 11-14 ms.
     """
@@ -185,7 +193,12 @@ def rightmost_root(spec, tau):
     for i, lam in zip(spec.nonnull_index.tolist(), spec.nonnull.tolist()):
         z = tau * lam
         for k in range(-2, 3):
-            s = lambert_w(z, k) / tau
+            try:
+                s = lambert_w(z, k) / tau
+            except NumericalFailure:
+                if k == 0:
+                    raise
+                continue  # a branch that is never rightmost
             if s.real > best_re or (s.real == best_re and s.imag > best_im):
                 best, best_re, best_im = (s, i, lam), s.real, s.imag
     if best is None:
@@ -209,7 +222,7 @@ def chebyshev_nodes_diff(order, span):
     return x, d
 
 
-def rightmost_root_oracle(sys, tau, discretization_order=30, null_tolerance=1e-7):
+def rightmost_root_oracle(sys, tau, discretization_order=30):
     """Rightmost non-null eigenvalue of a pseudospectral discretization of the
     delay system's generator on [-tau, 0]; independent of the Lambert W route."""
     if tau <= 0:
@@ -224,10 +237,11 @@ def rightmost_root_oracle(sys, tau, discretization_order=30, null_tolerance=1e-7
     gen[m:, :] = np.kron(d[1:], np.eye(m))
     # boundary row at theta = 0: dy/dt = M y(-tau); the delay lands on the last node
     gen[:m, m * order:] = sys.m
-    return complex(system_mod.spectrum_of_matrix(gen, null_tolerance).rightmost_nonnull)
+    spec = system_mod.spectrum_of_matrix(gen, ORACLE_NULL_TOLERANCE)
+    return complex(spec.rightmost_nonnull)
 
 
-def sweep_tau_c(g, eps_grid, null_tolerance=system_mod.DEFAULT_NULL_TOLERANCE):
+def sweep_tau_c(g, eps_grid):
     """tau_c over an epsilon grid. Returns (eps, DelayMargin | None, error | None)
     records; inadmissible grid points are reported, not fatal, and a negative
     epsilon raises InvalidParameter before any work."""
@@ -236,15 +250,14 @@ def sweep_tau_c(g, eps_grid, null_tolerance=system_mod.DEFAULT_NULL_TOLERANCE):
     records = []
     for eps in eps_grid:
         try:
-            spec = system_mod.spectrum(system_mod.build_system(g, eps), null_tolerance)
+            spec = system_mod.spectrum(system_mod.build_system(g, eps))
             records.append((eps, tau_critical(spec), None))
         except (NumericalFailure, PreconditionViolated) as exc:
             records.append((eps, None, str(exc)))
     return records
 
 
-def stability_map(g, eps_grid, tau_grid,
-                  null_tolerance=system_mod.DEFAULT_NULL_TOLERANCE):
+def stability_map(g, eps_grid, tau_grid):
     """Rightmost non-null root per (eps, tau) cell, the one scan of every sweep.
 
     tau > 0 cells take rightmost_root's branch scan and keep its root,
@@ -268,7 +281,7 @@ def stability_map(g, eps_grid, tau_grid,
     failures = []
     for a, eps in enumerate(eps_grid):
         try:
-            spec = system_mod.spectrum(system_mod.build_system(g, eps), null_tolerance)
+            spec = system_mod.spectrum(system_mod.build_system(g, eps))
         except (NumericalFailure, PreconditionViolated) as exc:
             failures.extend((a, b, str(exc)) for b in range(tau_grid.size))
             continue
@@ -288,7 +301,7 @@ def stability_map(g, eps_grid, tau_grid,
                         failures=failures)
 
 
-def bisect_tau_crossing(spec, lo, hi, rel_tol=1e-9, max_iter=200):
+def bisect_tau_crossing(spec, lo, hi):
     """Bisection on the sign of Re(rightmost root) over [lo, hi]."""
     flo = rightmost_root(spec, lo).root.real
     fhi = rightmost_root(spec, hi).root.real
@@ -297,12 +310,12 @@ def bisect_tau_crossing(spec, lo, hi, rel_tol=1e-9, max_iter=200):
             "bracket [%g, %g] does not straddle the crossing (f = %g, %g)"
             % (lo, hi, flo, fhi)
         )
-    for _ in range(max_iter):
+    for _ in range(BISECTION_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if rightmost_root(spec, mid).root.real < 0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= rel_tol * hi:
+        if hi - lo <= BISECTION_REL_TOL * hi:
             break
     return 0.5 * (lo + hi)

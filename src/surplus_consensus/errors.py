@@ -1,5 +1,7 @@
 """Exception types shared across the package, and the parameter check they share."""
 
+import math
+
 
 class ConsensusError(Exception):
     """Base class for all package errors."""
@@ -38,7 +40,9 @@ class InvalidConfig(ConsensusError):
 
 
 def require_non_negative(name, values):
-    """Raise InvalidParameter naming the first negative entry of values."""
+    """Raise InvalidParameter naming the first negative or non-finite entry of values."""
     for v in values:
         if v < 0:
             raise InvalidParameter("%s must be non-negative, got %r" % (name, float(v)))
+        if not math.isfinite(v):
+            raise InvalidParameter("%s must be finite, got %r" % (name, float(v)))

@@ -8,7 +8,7 @@ import numpy as np
 from . import _integrator
 from .errors import InvalidConfig
 
-DEFAULT_CONSENSUS_TOLERANCE = 1e-4
+CONSENSUS_TOLERANCE = 1e-4
 DEFAULT_DIVERGENCE_THRESHOLD = 1e6
 CSV_BLOCK_ROWS = 1024
 
@@ -21,11 +21,14 @@ class SimConfig:
     z0: np.ndarray = None
     dt: float = None
     t_final: float = 40.0
-    consensus_tolerance: float = DEFAULT_CONSENSUS_TOLERANCE
     divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD
 
     def resolved(self):
         """Fill defaults (z0 = 0, dt = tau/50 or 1e-2) and validate invariants."""
+        for name in ("tau", "dt", "t_final"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise InvalidConfig("%s must be finite, got %r" % (name, float(value)))
         x0 = np.asarray(self.x0, dtype=float)
         z0 = np.zeros_like(x0) if self.z0 is None else np.asarray(self.z0, dtype=float)
         if z0.shape != x0.shape:
@@ -108,7 +111,7 @@ def simulate(sys, cfg):
         verdict, decision_time = "inconclusive", times[-1]
         window = max(1, int(round(0.05 * cfg.t_final / dt)))
         # below[i - window .. i] all true <=> window + 1 trues end at sample i
-        count = np.concatenate([[0], np.cumsum(err < cfg.consensus_tolerance)])
+        count = np.concatenate([[0], np.cumsum(err < CONSENSUS_TOLERANCE)])
         hits = np.flatnonzero(count[window + 1:] - count[:-window - 1] == window + 1)
         if hits.size:
             verdict, decision_time = "converged", times[hits[0] + window]
@@ -117,12 +120,13 @@ def simulate(sys, cfg):
                       decision_time=float(decision_time), target=target)
 
 
-def convergence_time(traj, tol):
-    """First time after which the consensus error stays below tol; None if never."""
-    below = traj.consensus_error < tol
+def convergence_time(traj):
+    """First time after which the consensus error stays below CONSENSUS_TOLERANCE;
+    None if never."""
+    below = traj.consensus_error < CONSENSUS_TOLERANCE
     if not below[-1]:
         return None
-    # last index where the error is at or above tol
+    # last index where the error is at or above the tolerance
     above = np.nonzero(~below)[0]
     if above.size == 0:
         return 0.0
@@ -157,13 +161,13 @@ def write_metadata(traj, cfg, path, seed=None, extra=None):
         "t_final": cfg.t_final,
         "x0": list(x0),
         "z0": list(z0),
-        "consensus_tolerance": cfg.consensus_tolerance,
+        "consensus_tolerance": CONSENSUS_TOLERANCE,
         "divergence_threshold": cfg.divergence_threshold,
         "seed": seed,
         "verdict": traj.verdict,
         "decision_time": traj.decision_time,
         "consensus_target": traj.target,
-        "convergence_time": convergence_time(traj, cfg.consensus_tolerance),
+        "convergence_time": convergence_time(traj),
     }
     if extra:
         doc.update(extra)

@@ -21,7 +21,7 @@ from .errors import (
     require_non_negative,
 )
 
-DEFAULT_NULL_TOLERANCE = 1e-9
+NULL_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def sort_eigenvalues(vals):
     return vals[order]
 
 
-def spectrum_of_matrix(mat, null_tolerance=DEFAULT_NULL_TOLERANCE):
+def spectrum_of_matrix(mat, null_tolerance):
     try:
         vals = np.linalg.eigvals(mat)
     except np.linalg.LinAlgError as exc:
@@ -104,8 +104,8 @@ def spectrum_of_matrix(mat, null_tolerance=DEFAULT_NULL_TOLERANCE):
                     null_count=null_count)
 
 
-def spectrum(sys, null_tolerance=DEFAULT_NULL_TOLERANCE):
-    return spectrum_of_matrix(sys.m, null_tolerance)
+def spectrum(sys):
+    return spectrum_of_matrix(sys.m, NULL_TOLERANCE)
 
 
 def _null_vector(mat, residual_tol=1e-9):
@@ -146,7 +146,7 @@ def lambda2_slope(g):
     return -g.n * float(nev.nu_l_in @ nev.nu_r_out)
 
 
-def find_eps_bar(g, eps_grid, null_tolerance=DEFAULT_NULL_TOLERANCE):
+def find_eps_bar(g, eps_grid):
     """Largest grid value whose whole prefix yields one null eigenvalue and a
     strictly stable remainder. Numerical estimate, not a provable supremum."""
     eps_grid = list(eps_grid)
@@ -154,8 +154,8 @@ def find_eps_bar(g, eps_grid, null_tolerance=DEFAULT_NULL_TOLERANCE):
         raise InvalidParameter("eps_grid must be non-empty")
     best = None
     for eps in eps_grid:
-        spec = spectrum(build_system(g, eps), null_tolerance)
-        ok = spec.null_count == 1 and np.all(spec.nonnull.real < -null_tolerance)
+        spec = spectrum(build_system(g, eps))
+        ok = spec.null_count == 1 and np.all(spec.nonnull.real < -NULL_TOLERANCE)
         if not ok:
             break
         best = eps
@@ -164,10 +164,3 @@ def find_eps_bar(g, eps_grid, null_tolerance=DEFAULT_NULL_TOLERANCE):
             "smallest grid point %r already yields an unstable system" % (eps_grid[0],)
         )
     return best
-
-
-def export_matrix_csv(mat, path):
-    """Row-major CSV with 17 significant digits for external verification."""
-    with open(path, "w") as fh:
-        for row in np.atleast_2d(mat):
-            fh.write(",".join("%.17g" % v for v in row) + "\n")

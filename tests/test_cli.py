@@ -24,6 +24,10 @@ def test_parse_range():
         cli.parse_range("1:2")
     with pytest.raises(sc.InvalidParameter):
         cli.parse_range("0.5:0.1:0.2")
+    for text in ("nan:0.1:1", "0:nan:1", "0:0.1:nan", "0:0.1:inf", "-inf:0.1:0",
+                 "0:inf:1"):
+        with pytest.raises(sc.InvalidParameter, match="non-finite field"):
+            cli.parse_range(text)
 
 
 def test_analyze_demo(capsys):
@@ -53,10 +57,20 @@ def test_analyze_bad_file(tmp_path, capsys):
     assert run(["analyze", "--graph", str(tmp_path / "missing.edges")]) == 2
 
 
-def test_analyze_not_strongly_connected(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    ["analyze"],
+    ["simulate", "--eps", "1", "--tau", "0.1"],
+    ["sweep", "--mode", "eps", "--eps-range", "0.5:0.5:1", "--out", "OUT"],
+    ["verify"],
+], ids=["analyze", "simulate", "sweep", "verify"])
+def test_not_strongly_connected_exits_3(tmp_path, capsys, argv):
     path = tmp_path / "weak.edges"
     path.write_text("n 2\n1 2\n")
-    assert run(["analyze", "--graph", str(path)]) == 3
+    out = tmp_path / "out"
+    argv = [str(out) if a == "OUT" else a for a in argv]
+    assert run(argv + ["--graph", str(path)]) == 3
+    assert capsys.readouterr().err == "error: graph is not strongly connected\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [["analyze"]])
@@ -106,6 +120,32 @@ def test_sweep_eps_and_tau_keep_going_past_failed_cells(tmp_path, capsys):
     summary = parse_summary(capsys.readouterr().out)
     assert summary["warnings"] == "3"
     assert summary["min_re_lambda_r"] == summary["max_root_residual"] == "nan"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["simulate", "--eps", "1.3", "--tau", "nan"], "tau must be finite, got nan"),
+    (["simulate", "--eps", "inf", "--tau", "0.18"], "epsilon must be finite, got inf"),
+    (["simulate", "--eps", "nan", "--tau", "0.18"], "epsilon must be finite, got nan"),
+    (["simulate", "--eps", "1.3", "--tau", "0.18", "--dt", "nan"],
+     "dt must be finite, got nan"),
+    (["simulate", "--eps", "1.3", "--tau", "0.18", "--t-final", "nan"],
+     "t_final must be finite, got nan"),
+    (["simulate", "--eps", "1.3", "--tau", "0.18", "--t-final", "inf"],
+     "t_final must be finite, got inf"),
+    (["analyze", "--eps", "nan"], "epsilon must be finite, got nan"),
+    (["sweep", "--mode", "tau", "--eps", "nan", "--tau-range", "0:0.1:0.2",
+      "--out", "OUT"], "epsilon must be finite, got nan"),
+    (["sweep", "--mode", "two_d", "--eps-range", "1:0.1:1", "--tau-range", "0:0.1:inf",
+      "--out", "OUT"], "range '0:0.1:inf' has a non-finite field"),
+], ids=["simulate-tau", "simulate-eps-inf", "simulate-eps-nan", "simulate-dt",
+        "simulate-t_final-nan", "simulate-t_final-inf", "analyze-eps", "sweep-eps",
+        "sweep-range"])
+def test_non_finite_value_is_a_usage_error(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    argv = [str(out) if a == "OUT" else a for a in argv]
+    assert run(argv + ["--graph", sc.demo_graph_path()]) == 4
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mode,ranges,message", [
@@ -268,6 +308,10 @@ def test_sweep_missing_argument(tmp_path, capsys, mode, given):
     ["sweep", "--mode", "two_d", "--graph", "g.edges", "--branch-window", "5"],
     ["analyze"],
     [],
+    ["analyze", "--graph", "g.edges", "--seed", "1"],
+    ["sweep", "--mode", "eps", "--graph", "g.edges", "--eps-range", "0.5:0.5:1",
+     "--out", "s", "--seed", "1"],
+    ["verify", "--graph", "g.edges", "--out", "x"],
 ])
 def test_usage_error_exits_4(argv, capsys):
     assert run(argv) == 4

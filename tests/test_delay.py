@@ -243,6 +243,35 @@ def test_rightmost_root_wrong_branch_cell():
     assert abs(root.real - sc.rightmost_root_oracle(sys, 0.4, 30).real) <= 1e-6
 
 
+def test_rightmost_root_skips_a_failing_nonprincipal_branch(monkeypatch, demo6):
+    # within 1e-20 of the cut (-1/e, 0), lambert_w(z, 1) raised NumericalFailure and
+    # failed the whole scan, though W_1 is never rightmost
+    z = -0.26538566651671214 - 1e-20j
+    spec = make_spectrum([0.0, z, z.conjugate()])
+    root = sc.rightmost_root(spec, 1.0).root
+    expected = max((complex(scipy.special.lambertw(lam, 0)) for lam in (z, z.conjugate())),
+                   key=lambda w: (w.real, w.imag))
+    assert abs(root - expected) <= 1e-12
+
+    # every k != 0 branch failing leaves the root unchanged; a W_0 failure still raises
+    spec = sc.spectrum(sc.build_system(demo6, 1.1))
+    expected = sc.rightmost_root(spec, 0.2)
+    lambert_w = sc.delay.lambert_w
+
+    def failing(branches):
+        def patched(z, k=0):
+            if k in branches:
+                raise sc.NumericalFailure("branch %d" % k)
+            return lambert_w(z, k)
+        return patched
+
+    monkeypatch.setattr(sc.delay, "lambert_w", failing({-2, -1, 1, 2}))
+    assert sc.rightmost_root(spec, 0.2) == expected
+    monkeypatch.setattr(sc.delay, "lambert_w", failing({0}))
+    with pytest.raises(sc.NumericalFailure, match="branch 0"):
+        sc.rightmost_root(spec, 0.2)
+
+
 # ---------------------------------------------------------------- oracle
 
 def test_oracle_scalar_margin():
@@ -376,8 +405,7 @@ def test_negative_parameter_raises_with_a_plain_float(demo6, call, message):
 def test_crossing_bisection_matches_margin(demo6):
     spec = sc.spectrum(sc.build_system(demo6, 1.1))
     margin = sc.tau_critical(spec)
-    tau_star = sc.bisect_tau_crossing(spec, 0.5 * margin.tau_c, 2 * margin.tau_c,
-                                      rel_tol=1e-9)
+    tau_star = sc.bisect_tau_crossing(spec, 0.5 * margin.tau_c, 2 * margin.tau_c)
     assert tau_star == pytest.approx(margin.tau_c, rel=1e-6)
 
 

@@ -19,7 +19,7 @@ def test_equilibrium_is_stationary(demo6):
     # the first sample that ends a run of window + 1 samples below tolerance
     window = int(round(0.05 * cfg.t_final / (cfg.tau / 50)))
     assert traj.decision_time == traj.times[window]
-    assert sc.convergence_time(traj, 1e-4) == 0.0
+    assert sc.convergence_time(traj) == 0.0
 
 
 def test_demo_run_converges(demo6):
@@ -30,7 +30,7 @@ def test_demo_run_converges(demo6):
     traj = sc.simulate(sys, cfg)
     assert traj.verdict == "converged"
     assert np.max(np.abs(traj.states[-1, :6] - x0.mean())) <= 1e-3
-    assert sc.convergence_time(traj, 1e-4) is not None
+    assert sc.convergence_time(traj) is not None
 
 
 def test_beyond_margin_diverges(demo6):
@@ -42,7 +42,7 @@ def test_beyond_margin_diverges(demo6):
                        dt=tau / 50, t_final=400.0)
     traj = sc.simulate(sc.build_system(demo6, 1.1), cfg)
     assert traj.verdict == "diverged"
-    assert sc.convergence_time(traj, 1e-4) is None
+    assert sc.convergence_time(traj) is None
     # the run ends on the first row over the threshold
     peak = np.abs(traj.states).max(axis=1)
     assert peak[-1] > cfg.divergence_threshold

@@ -157,10 +157,3 @@ def test_find_eps_bar_no_admissible():
     with pytest.raises(sc.NoAdmissibleEpsilon):
         sc.find_eps_bar(ring, [2.0, 5.0])
 
-
-def test_export_matrix_csv(tmp_path, demo6):
-    sys = sc.build_system(demo6, 1.3)
-    path = tmp_path / "m.csv"
-    sc.export_matrix_csv(sys.m, str(path))
-    back = np.loadtxt(str(path), delimiter=",")
-    assert np.array_equal(back, sys.m)
