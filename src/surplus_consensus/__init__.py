@@ -24,6 +24,7 @@ from .errors import (
     InvalidEdge,
     InvalidParameter,
     NoAdmissibleEpsilon,
+    NotStronglyConnected,
     NumericalFailure,
     PreconditionViolated,
     SelfLoopRejected,
@@ -51,7 +52,6 @@ from .sim import (
     simulate,
 )
 from .system import (
-    AugmentedSystem,
     NullEigenvectors,
     Spectrum,
     build_system,

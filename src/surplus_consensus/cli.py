@@ -20,6 +20,7 @@ from .errors import (
     GraphFormatError,
     InvalidConfig,
     InvalidParameter,
+    NotStronglyConnected,
 )
 
 EXIT_OK = 0
@@ -29,6 +30,11 @@ EXIT_NOT_STRONGLY_CONNECTED = 3
 EXIT_BAD_CONFIG = 4
 EXIT_NUMERICAL_FAILURE = 5
 EXIT_INTERNAL_ERROR = 6
+
+# the most points of a range and cells of a sweep grid: a million cells take
+# minutes even at n = 6, so more is a typo, and a tiny step would ask for gigabytes
+MAX_GRID_POINTS = 1_000_000
+MAX_SEED = 2**32 - 1
 
 ROOT_COLUMNS = ["eps", "tau", "re_lambda_r", "im_lambda_r", "source_index", "residual"]
 
@@ -55,9 +61,23 @@ def parse_range(text):
         raise InvalidParameter("range %r has a non-finite field" % text)
     if step <= 0 or b < a:
         raise InvalidParameter("range %r must be ascending with positive step" % text)
+    # a float ratio, so a tiny step gives inf or a huge value, not an exception
+    if (b - a) / step + 1 > MAX_GRID_POINTS:
+        raise InvalidParameter("range %r has more than %d points" % (text, MAX_GRID_POINTS))
     count = int(round((b - a) / step))
     grid = a + step * np.arange(count + 1)
     return grid[grid <= b + step * 1e-9]
+
+
+def parse_seed(text):
+    """Parse a --seed value, an integer in [0, 2**32 - 1] as np.random.RandomState takes."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("seed %r is not an integer" % text)
+    if not 0 <= seed <= MAX_SEED:
+        raise argparse.ArgumentTypeError("seed must be in [0, %d], got %d" % (MAX_SEED, seed))
+    return seed
 
 
 def load_graph(path):
@@ -76,9 +96,7 @@ def _fmt(x):
 
 def cmd_analyze(args):
     g = load_graph(args.graph)
-    if not graph_mod.is_strongly_connected(g):
-        print("error: graph is not strongly connected", file=sys.stderr)
-        return EXIT_NOT_STRONGLY_CONNECTED
+    graph_mod.require_strongly_connected(g)
     prof = graph_mod.degree_profile(g)
     spec0 = system_mod.spectrum(system_mod.build_system(g, 0.0))
     lam3 = spec0.rightmost_nonnull
@@ -140,15 +158,12 @@ def _fmt_complex(v):
 
 def cmd_simulate(args):
     g = load_graph(args.graph)
-    if not graph_mod.is_strongly_connected(g):
-        print("error: graph is not strongly connected", file=sys.stderr)
-        return EXIT_NOT_STRONGLY_CONNECTED
+    graph_mod.require_strongly_connected(g)
     rng = np.random.RandomState(args.seed)
     x0 = rng.uniform(0.0, 1.0, g.n)
     cfg = sim_mod.SimConfig(epsilon=args.eps, tau=args.tau, x0=x0,
                             dt=args.dt, t_final=args.t_final)
-    sysm = system_mod.build_system(g, args.eps)
-    traj = sim_mod.simulate(sysm, cfg)
+    traj = sim_mod.simulate(system_mod.build_system(g, args.eps), cfg)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         sim_mod.write_trajectory_csv(traj, os.path.join(args.out, "trajectory.csv"))
@@ -168,28 +183,26 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def _write_csv(path, header, rows, summary_comment):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-        fh.write("# %s\n" % summary_comment)
+def _write_csv(path, header, rows, comment=None):
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header] + rows)
+        if comment is not None:
+            fh.write("# %s\n" % comment)
 
 
 def cmd_sweep(args):
     csv_name, required = SWEEP_MODES[args.mode]
     missing = [name for name in ("out",) + required if getattr(args, name) is None]
     if missing:
-        print("error: mode=%s requires %s" % (args.mode, ", ".join(
-            "--" + name.replace("_", "-") for name in missing)), file=sys.stderr)
-        return EXIT_BAD_CONFIG
+        raise InvalidParameter("mode=%s requires %s" % (args.mode, ", ".join(
+            "--" + name.replace("_", "-") for name in missing)))
     # eps: the eps range x {0}; tau: {--eps} x the tau range
     eps_grid = [args.eps] if args.mode == "tau" else parse_range(args.eps_range)
     tau_grid = parse_range(args.tau_range) if "tau_range" in required else [0.0]
+    if len(eps_grid) * len(tau_grid) > MAX_GRID_POINTS:
+        raise InvalidParameter("the sweep grid has more than %d cells" % MAX_GRID_POINTS)
     g = load_graph(args.graph)
-    if not graph_mod.is_strongly_connected(g):
-        print("error: graph is not strongly connected", file=sys.stderr)
-        return EXIT_NOT_STRONGLY_CONNECTED
+    graph_mod.require_strongly_connected(g)
     path = os.path.join(args.out, csv_name)
     summary = [("command", "sweep"), ("mode", args.mode)]
 
@@ -236,10 +249,7 @@ def cmd_sweep(args):
 
     # failed cells, (eps, tau, reason); tau is empty in tau_c mode
     if failures:
-        with open(os.path.join(args.out, "failures.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["eps", "tau", "reason"])
-            writer.writerows(failures)
+        _write_csv(os.path.join(args.out, "failures.csv"), ["eps", "tau", "reason"], failures)
     summary += [("csv", path), ("warnings", len(failures))]
     _summary(summary)
     return EXIT_OK
@@ -247,16 +257,14 @@ def cmd_sweep(args):
 
 def cmd_verify(args):
     g = load_graph(args.graph)
-    if not graph_mod.is_strongly_connected(g):
-        print("error: graph is not strongly connected", file=sys.stderr)
-        return EXIT_NOT_STRONGLY_CONNECTED
+    graph_mod.require_strongly_connected(g)
     rng = np.random.RandomState(args.seed)
     checks = []
 
     eps_bar = system_mod.find_eps_bar(g, np.linspace(0.1, 2.0, 20))
     eps = 0.5 * eps_bar
-    sysm = system_mod.build_system(g, eps)
-    spec = system_mod.spectrum(sysm)
+    m = system_mod.build_system(g, eps)
+    spec = system_mod.spectrum(m)
     margin = delay_mod.tau_critical(spec)
 
     # Lambert W route vs pseudospectral oracle on a few delays
@@ -264,7 +272,7 @@ def cmd_verify(args):
     for frac in (0.3, 0.8, 1.4):
         tau = frac * margin.tau_c
         root = delay_mod.rightmost_root(spec, tau).root
-        oracle = delay_mod.rightmost_root_oracle(sysm, tau, 30)
+        oracle = delay_mod.rightmost_root_oracle(m, tau, 30)
         if abs(root.real - oracle.real) > 1e-6 or abs(abs(root.imag) - abs(oracle.imag)) > 1e-6:
             ok = False
     checks.append(("oracle_agreement", ok))
@@ -278,7 +286,7 @@ def cmd_verify(args):
     x0 = rng.uniform(0.0, 1.0, g.n)
     tau = min(0.5 * margin.tau_c, 0.2)
     cfg = sim_mod.SimConfig(epsilon=eps, tau=tau, x0=x0, t_final=max(5.0, 4 * tau))
-    traj = sim_mod.simulate(sysm, cfg)
+    traj = sim_mod.simulate(m, cfg)
     bound = 1e-6 * (1.0 + abs(x0.sum()))
     checks.append(("conservation", float(traj.conservation_drift.max()) <= bound))
 
@@ -304,7 +312,7 @@ def build_parser():
         if out:
             p.add_argument("--out", default=None, help="output directory")
         if seed:
-            p.add_argument("--seed", type=int, default=0, help="initial-state seed")
+            p.add_argument("--seed", type=parse_seed, default=0, help="initial-state seed")
 
     p = sub.add_parser("analyze", help="spectral and delay-margin report")
     common(p, out=True)
@@ -347,8 +355,11 @@ def main(argv=None):
     except (InvalidConfig, InvalidParameter) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BAD_CONFIG
+    except NotStronglyConnected as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_NOT_STRONGLY_CONNECTED
     except ConsensusError as exc:
-        # NumericalFailure, PreconditionViolated, NoAdmissibleEpsilon
+        # NumericalFailure, another PreconditionViolated, NoAdmissibleEpsilon
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
     except Exception as exc:

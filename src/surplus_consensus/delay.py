@@ -163,8 +163,7 @@ def tau_tilde_bound(g):
     The absolute value repairs the sign of the bound, which is negative as
     literally stated for a Hurwitz eigenvalue.
     """
-    if not graph_mod.is_strongly_connected(g):
-        raise PreconditionViolated("delay bound requires a strongly connected graph")
+    graph_mod.require_strongly_connected(g)
     delta_bar = graph_mod.degree_profile(g).delta_bar
     spec = system_mod.spectrum(system_mod.build_system(g, 0.0))
     lam3 = spec.rightmost_nonnull
@@ -222,21 +221,21 @@ def chebyshev_nodes_diff(order, span):
     return x, d
 
 
-def rightmost_root_oracle(sys, tau, discretization_order=30):
+def rightmost_root_oracle(m, tau, discretization_order=30):
     """Rightmost non-null eigenvalue of a pseudospectral discretization of the
     delay system's generator on [-tau, 0]; independent of the Lambert W route."""
     if tau <= 0:
         raise InvalidParameter("tau must be positive, got %r" % (float(tau),))
     if discretization_order < 10:
         raise InvalidParameter("discretization order must be at least 10")
-    m = sys.m.shape[0]
+    dim = m.shape[0]
     order = int(discretization_order)
     _, d = chebyshev_nodes_diff(order, tau)
-    gen = np.zeros((m * (order + 1), m * (order + 1)))
+    gen = np.zeros((dim * (order + 1), dim * (order + 1)))
     # collocation rows: d/dtheta along the segment
-    gen[m:, :] = np.kron(d[1:], np.eye(m))
+    gen[dim:, :] = np.kron(d[1:], np.eye(dim))
     # boundary row at theta = 0: dy/dt = M y(-tau); the delay lands on the last node
-    gen[:m, m * order:] = sys.m
+    gen[:dim, dim * order:] = m
     spec = system_mod.spectrum_of_matrix(gen, ORACLE_NULL_TOLERANCE)
     return complex(spec.rightmost_nonnull)
 

@@ -27,6 +27,10 @@ class PreconditionViolated(ConsensusError):
     """Operation called on an input that fails its stated precondition."""
 
 
+class NotStronglyConnected(PreconditionViolated):
+    """The graph is not strongly connected, the precondition of the analysis."""
+
+
 class NumericalFailure(ConsensusError):
     """Iteration or eigensolver did not converge to the required residual."""
 

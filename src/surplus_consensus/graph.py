@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GraphFormatError, InvalidEdge, SelfLoopRejected
+from .errors import GraphFormatError, InvalidEdge, NotStronglyConnected, SelfLoopRejected
 
 
 @dataclass(frozen=True)
@@ -103,6 +103,12 @@ def is_strongly_connected(g):
         return count == g.n
 
     return reaches_all(fwd) and reaches_all(bwd)
+
+
+def require_strongly_connected(g):
+    """Raise NotStronglyConnected unless g is strongly connected."""
+    if not is_strongly_connected(g):
+        raise NotStronglyConnected("graph is not strongly connected")
 
 
 def is_balanced(g):

@@ -68,12 +68,11 @@ class Trajectory:
 
 def consensus_target(cfg):
     """The invariant consensus value (1'x0 + 1'z0) / n."""
-    x0 = np.asarray(cfg.x0, dtype=float)
-    z0 = np.zeros_like(x0) if cfg.z0 is None else np.asarray(cfg.z0, dtype=float)
+    x0, z0, _, _ = cfg.resolved()
     return float((x0.sum() + z0.sum()) / x0.size)
 
 
-def simulate(sys, cfg):
+def simulate(m, cfg):
     """Integrate the delayed dynamics and grade the run.
 
     Verdict: 'converged' once the consensus error stays below the tolerance for
@@ -82,12 +81,12 @@ def simulate(sys, cfg):
     """
     x0, z0, dt, delay_steps = cfg.resolved()
     n = x0.size
-    if sys.m.shape[0] != 2 * n:
+    if m.shape[0] != 2 * n:
         raise InvalidConfig("system dimension %d does not match x0 length %d"
-                            % (sys.m.shape[0], 2 * n))
+                            % (m.shape[0], 2 * n))
     nsteps = int(round(cfg.t_final / dt))
     y0 = np.ascontiguousarray(np.concatenate([x0, z0]))
-    mat = np.ascontiguousarray(sys.m)
+    mat = np.ascontiguousarray(m)
     if delay_steps > 0:
         states, last = _integrator.integrate_delayed(
             mat, y0, delay_steps, nsteps, dt, cfg.divergence_threshold)

@@ -25,13 +25,6 @@ NULL_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
-class AugmentedSystem:
-    graph: graph_mod.DirectedGraph
-    epsilon: float
-    m: np.ndarray
-
-
-@dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues sorted by descending real part (ties: descending imaginary)."""
 
@@ -81,11 +74,10 @@ def build_system(g, epsilon):
     lap = graph_mod.laplacians(g)
     n = g.n
     eye = np.eye(n)
-    m = np.block([
+    return np.block([
         [-lap.l_in.astype(float), epsilon * eye],
         [lap.l_in.astype(float), -lap.l_out.astype(float) - epsilon * eye],
     ])
-    return AugmentedSystem(graph=g, epsilon=float(epsilon), m=m)
 
 
 def sort_eigenvalues(vals):
@@ -104,8 +96,8 @@ def spectrum_of_matrix(mat, null_tolerance):
                     null_count=null_count)
 
 
-def spectrum(sys):
-    return spectrum_of_matrix(sys.m, NULL_TOLERANCE)
+def spectrum(m):
+    return spectrum_of_matrix(m, NULL_TOLERANCE)
 
 
 def _null_vector(mat, residual_tol=1e-9):
@@ -125,8 +117,7 @@ def _null_vector(mat, residual_tol=1e-9):
 
 
 def null_eigenvectors(g):
-    if not graph_mod.is_strongly_connected(g):
-        raise PreconditionViolated("null eigenvectors require a strongly connected graph")
+    graph_mod.require_strongly_connected(g)
     lap = graph_mod.laplacians(g)
     nu_l_in = _null_vector(lap.l_in.T.astype(float))
     nu_r_out = _null_vector(lap.l_out.astype(float))

@@ -28,6 +28,11 @@ def test_parse_range():
                  "0:inf:1"):
         with pytest.raises(sc.InvalidParameter, match="non-finite field"):
             cli.parse_range(text)
+    # a tiny step or one point above the cap is refused before any array exists
+    for text in ("0:1e-300:1", "0:5e-324:1", "0:1:%d" % cli.MAX_GRID_POINTS):
+        with pytest.raises(sc.InvalidParameter, match="more than %d points"
+                           % cli.MAX_GRID_POINTS):
+            cli.parse_range(text)
 
 
 def test_analyze_demo(capsys):
@@ -312,6 +317,11 @@ def test_sweep_missing_argument(tmp_path, capsys, mode, given):
     ["sweep", "--mode", "eps", "--graph", "g.edges", "--eps-range", "0.5:0.5:1",
      "--out", "s", "--seed", "1"],
     ["verify", "--graph", "g.edges", "--out", "x"],
+    ["simulate", "--graph", "g.edges", "--eps", "1", "--tau", "0.1", "--seed", "-1"],
+    ["verify", "--graph", "g.edges", "--seed", "4294967296"],
+    # two ranges within the cap whose grid is not
+    ["sweep", "--mode", "two_d", "--graph", "g.edges", "--eps-range", "0:1:1000",
+     "--tau-range", "0:1:1000", "--out", "s"],
 ])
 def test_usage_error_exits_4(argv, capsys):
     assert run(argv) == 4

@@ -164,8 +164,9 @@ def test_tau_tilde_demo(demo6):
 
 
 def test_tau_tilde_precondition():
-    with pytest.raises(sc.PreconditionViolated):
+    with pytest.raises(sc.NotStronglyConnected):
         sc.tau_tilde_bound(sc.build_graph(2, [(1, 2)]))
+    assert issubclass(sc.NotStronglyConnected, sc.PreconditionViolated)
 
 
 def test_tau_tilde_conservative(demo6, two_node):
@@ -275,9 +276,7 @@ def test_rightmost_root_skips_a_failing_nonprincipal_branch(monkeypatch, demo6):
 # ---------------------------------------------------------------- oracle
 
 def test_oracle_scalar_margin():
-    sys_scalar = sc.AugmentedSystem(graph=None, epsilon=0.0,
-                                    m=np.array([[-1.0]]))
-    root = sc.rightmost_root_oracle(sys_scalar, math.pi / 2, 20)
+    root = sc.rightmost_root_oracle(np.array([[-1.0]]), math.pi / 2, 20)
     assert abs(root.real) <= 1e-6
 
 

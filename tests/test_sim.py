@@ -99,7 +99,7 @@ def test_tau_zero_matches_expm(demo6):
     cfg = sc.SimConfig(epsilon=1.3, tau=0.0, x0=x0, dt=1e-2, t_final=1.0)
     traj = sc.simulate(sys, cfg)
     y0 = np.concatenate([x0, np.zeros(6)])
-    ref = scipy.linalg.expm(sys.m) @ y0
+    ref = scipy.linalg.expm(sys) @ y0
     assert np.max(np.abs(traj.states[-1] - ref)) <= 1e-8
 
 
@@ -128,7 +128,7 @@ def test_delayed_kernel_matches_stepwise_reference(demo6):
     sys = sc.build_system(demo6, 1.3)
     cfg = sc.SimConfig(epsilon=1.3, tau=0.2, x0=x0, dt=0.2 / 50, t_final=5.1)
     traj = sc.simulate(sys, cfg)
-    ref = reference_delayed(sys.m, np.concatenate([x0, np.zeros(6)]), 50, 1275, 0.2 / 50)
+    ref = reference_delayed(sys, np.concatenate([x0, np.zeros(6)]), 50, 1275, 0.2 / 50)
     assert traj.states.shape == ref.shape
     assert np.max(np.abs(traj.states - ref)) <= 1e-12
 
