@@ -59,7 +59,6 @@ from .system import (
     lambda2_slope,
     null_eigenvectors,
     spectrum,
-    spectrum_of_matrix,
 )
 
 __version__ = "0.1.0"

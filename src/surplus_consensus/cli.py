@@ -193,9 +193,13 @@ def _write_csv(path, header, rows, comment=None):
 def cmd_sweep(args):
     csv_name, required = SWEEP_MODES[args.mode]
     missing = [name for name in ("out",) + required if getattr(args, name) is None]
-    if missing:
-        raise InvalidParameter("mode=%s requires %s" % (args.mode, ", ".join(
-            "--" + name.replace("_", "-") for name in missing)))
+    # a flag the mode does not read would be silently ignored
+    unused = [name for name in ("eps", "eps_range", "tau_range")
+              if name not in required and getattr(args, name) is not None]
+    for problem, names in (("requires", missing), ("does not take", unused)):
+        if names:
+            raise InvalidParameter("mode=%s %s %s" % (args.mode, problem, ", ".join(
+                "--" + name.replace("_", "-") for name in names)))
     # eps: the eps range x {0}; tau: {--eps} x the tau range
     eps_grid = [args.eps] if args.mode == "tau" else parse_range(args.eps_range)
     tau_grid = parse_range(args.tau_range) if "tau_range" in required else [0.0]
@@ -272,7 +276,7 @@ def cmd_verify(args):
     for frac in (0.3, 0.8, 1.4):
         tau = frac * margin.tau_c
         root = delay_mod.rightmost_root(spec, tau).root
-        oracle = delay_mod.rightmost_root_oracle(m, tau, 30)
+        oracle = delay_mod.rightmost_root_oracle(spec, tau, 30)
         if abs(root.real - oracle.real) > 1e-6 or abs(abs(root.imag) - abs(oracle.imag)) > 1e-6:
             ok = False
     checks.append(("oracle_agreement", ok))

@@ -2,8 +2,8 @@
 
 The characteristic function of the delayed system is det(sI - M(eps) e^{-s tau});
 its roots split per eigenvalue into s e^{s tau} = lambda_i(eps), solved with the
-principal branch of the complex Lambert W function. An independent Chebyshev
-collocation of the solution operator's generator serves as a cross-checking oracle.
+principal branch of the complex Lambert W function; a Chebyshev collocation of
+each scalar equation's generator cross-checks them.
 """
 
 import cmath
@@ -22,8 +22,6 @@ from .errors import (
 )
 
 LAMBERT_W_TOL = 1e-12
-# the oracle generator's null eigenvalue carries ~100 times the rounding of M(eps)'s
-ORACLE_NULL_TOLERANCE = 1e-7
 BISECTION_REL_TOL = 1e-9
 BISECTION_MAX_ITER = 200
 
@@ -221,23 +219,32 @@ def chebyshev_nodes_diff(order, span):
     return x, d
 
 
-def rightmost_root_oracle(m, tau, discretization_order=30):
-    """Rightmost non-null eigenvalue of a pseudospectral discretization of the
-    delay system's generator on [-tau, 0]; independent of the Lambert W route."""
+def rightmost_root_oracle(spec, tau, discretization_order=30):
+    """Rightmost non-null root, Im >= 0, from a Chebyshev collocation of the delay
+    system's generator on [-tau, 0] (Breda, Maset & Vermiglio, 2005). It splits into
+    one scalar generator per eigenvalue, since det(sI - M e^{-s tau}) =
+    prod_i (s - lambda_i e^{-s tau}) for any M (Jarlebring & Damm, 2007)."""
     if tau <= 0:
         raise InvalidParameter("tau must be positive, got %r" % (float(tau),))
     if discretization_order < 10:
         raise InvalidParameter("discretization order must be at least 10")
-    dim = m.shape[0]
+    lam = spec.nonnull
+    lam = lam[lam.imag >= 0]  # M is real: a conjugate eigenvalue has the conjugate roots
+    if lam.size == 0:
+        raise PreconditionViolated("spectrum has no non-null eigenvalue")
     order = int(discretization_order)
     _, d = chebyshev_nodes_diff(order, tau)
-    gen = np.zeros((dim * (order + 1), dim * (order + 1)))
-    # collocation rows: d/dtheta along the segment
-    gen[dim:, :] = np.kron(d[1:], np.eye(dim))
-    # boundary row at theta = 0: dy/dt = M y(-tau); the delay lands on the last node
-    gen[:dim, dim * order:] = m
-    spec = system_mod.spectrum_of_matrix(gen, ORACLE_NULL_TOLERANCE)
-    return complex(spec.rightmost_nonnull)
+    gen = np.zeros((lam.size, order + 1, order + 1), dtype=complex)
+    # collocation rows: d/dtheta; boundary row: dy/dt = lambda_i y(-tau), on the last node
+    gen[:, 1:, :] = d[1:]
+    gen[:, 0, order] = lam
+    try:
+        roots = np.linalg.eigvals(gen).ravel()
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure("eigenvalue computation failed: %s" % exc)
+    # fold to Im >= 0: a real lambda_i's roots are conjugate only to rounding
+    roots = roots.real + 1j * np.abs(roots.imag)
+    return complex(system_mod.sort_eigenvalues(roots)[0])
 
 
 def sweep_tau_c(g, eps_grid):

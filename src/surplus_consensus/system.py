@@ -29,13 +29,12 @@ class Spectrum:
     """Eigenvalues sorted by descending real part (ties: descending imaginary)."""
 
     eigenvalues: np.ndarray
-    null_tolerance: float
     null_count: int
 
     @property
     def nonnull_index(self):
-        """Positions of the non-null eigenvalues, |lambda| > null_tolerance."""
-        return np.flatnonzero(np.abs(self.eigenvalues) > self.null_tolerance)
+        """Positions of the non-null eigenvalues, |lambda| > NULL_TOLERANCE."""
+        return np.flatnonzero(np.abs(self.eigenvalues) > NULL_TOLERANCE)
 
     @property
     def nonnull(self):
@@ -85,19 +84,13 @@ def sort_eigenvalues(vals):
     return vals[order]
 
 
-def spectrum_of_matrix(mat, null_tolerance):
+def spectrum(m):
     try:
-        vals = np.linalg.eigvals(mat)
+        vals = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("eigenvalue computation failed: %s" % exc)
     vals = sort_eigenvalues(vals)
-    null_count = int(np.sum(np.abs(vals) <= null_tolerance))
-    return Spectrum(eigenvalues=vals, null_tolerance=float(null_tolerance),
-                    null_count=null_count)
-
-
-def spectrum(m):
-    return spectrum_of_matrix(m, NULL_TOLERANCE)
+    return Spectrum(eigenvalues=vals, null_count=int(np.sum(np.abs(vals) <= NULL_TOLERANCE)))
 
 
 def _null_vector(mat, residual_tol=1e-9):

@@ -2,6 +2,11 @@ import numpy as np
 import pytest
 
 import surplus_consensus as sc
+from surplus_consensus.delay import chebyshev_nodes_diff
+from surplus_consensus.system import sort_eigenvalues
+
+# the full generator's null eigenvalue carries ~100 times the rounding of M(eps)'s
+REFERENCE_NULL_TOLERANCE = 1e-7
 
 
 @pytest.fixture(scope="session")
@@ -34,3 +39,20 @@ def random_graphs():
 
 def max_nonnull_real(spec):
     return float(np.max(spec.nonnull.real))
+
+
+def reference_oracle(m, tau, discretization_order=30):
+    """Rightmost non-null eigenvalue of the Chebyshev collocation of the whole
+    2n-dimensional delay system's generator on [-tau, 0], a dense eigensolve of
+    size 2n (order + 1): the reference that sc.rightmost_root_oracle's per-eigenvalue
+    scalar generators and the Lambert W route are checked against."""
+    dim = m.shape[0]
+    order = int(discretization_order)
+    _, d = chebyshev_nodes_diff(order, tau)
+    gen = np.zeros((dim * (order + 1), dim * (order + 1)))
+    # collocation rows: d/dtheta along the segment
+    gen[dim:, :] = np.kron(d[1:], np.eye(dim))
+    # boundary row at theta = 0: dy/dt = M y(-tau); the delay lands on the last node
+    gen[:dim, dim * order:] = m
+    vals = sort_eigenvalues(np.linalg.eigvals(gen))
+    return complex(vals[np.abs(vals) > REFERENCE_NULL_TOLERANCE][0])

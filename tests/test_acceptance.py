@@ -16,7 +16,7 @@ import pytest
 
 import surplus_consensus as sc
 
-from conftest import max_nonnull_real
+from conftest import max_nonnull_real, reference_oracle
 
 SEED = 2024
 
@@ -121,7 +121,7 @@ def test_criterion_7_oracle_equivalence(random_graphs):
         spec = sc.spectrum(sys)
         tau = float(rng.uniform(0.05, 2.0)) * sc.tau_critical(spec).tau_c
         lw = sc.rightmost_root(spec, tau).root
-        orc = sc.rightmost_root_oracle(sys, tau, 30)
+        orc = reference_oracle(sys, tau, 30)
         worst = max(worst, abs(lw.real - orc.real))
     elapsed = time.time() - start
     report(7, "oracle equivalence", worst <= 1e-6 and elapsed < 60.0,

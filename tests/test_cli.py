@@ -230,6 +230,36 @@ def test_failed_check_exits_1(monkeypatch, capsys):
     assert captured.err == "failed checks: oracle_agreement\n"
 
 
+def test_wrong_lambert_w_root_misses_the_oracle(demo6):
+    # the other side of the check above: a root from W_1 in place of W_0 for the
+    # source eigenvalue fails oracle_agreement at each of verify's delays (not W_-1:
+    # on real z < -1/e it is the conjugate of W_0, the same root up to the sign of Im)
+    eps = 0.5 * sc.find_eps_bar(demo6, np.linspace(0.1, 2.0, 20))
+    spec = sc.spectrum(sc.build_system(demo6, eps))
+    tau_c = sc.tau_critical(spec).tau_c
+    for frac in (0.3, 0.8, 1.4):
+        tau = frac * tau_c
+        oracle = sc.rightmost_root_oracle(spec, tau, 30)
+
+        def gap(root):
+            return max(abs(root.real - oracle.real), abs(abs(root.imag) - abs(oracle.imag)))
+
+        root = sc.rightmost_root(spec, tau)
+        lam = spec.eigenvalues[root.source_eigenvalue_index]
+        assert gap(root.root) <= 1e-6 < gap(sc.lambert_w(tau * lam, 1) / tau)
+
+
+def test_verify_n200_passes(tmp_path, capsys):
+    # one 31 x 31 generator per eigenvalue: seconds, where the dense generator of
+    # size 12,400 took more than ten minutes
+    path = tmp_path / "n200.edges"
+    sc.save_edge_list(sc.random_strongly_connected(200, 800, 1), str(path))
+    assert run(["verify", "--graph", str(path)]) == 0
+    summary = parse_summary(capsys.readouterr().out)
+    assert [summary[name] for name in ("oracle_agreement", "crossing_bisection",
+                                       "conservation")] == ["pass"] * 3
+
+
 def test_unexpected_error_is_one_line_exit_6(monkeypatch, capsys):
     def boom(*args):
         raise RuntimeError("boom")
@@ -303,6 +333,24 @@ def test_sweep_missing_argument(tmp_path, capsys, mode, given):
     err = capsys.readouterr().err
     assert err.startswith("error: mode=%s requires --" % mode)
     assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode,given,unused", [
+    ("eps", ["--eps-range", "0.9:0.2:1.3", "--tau-range", "0:0.1:0.3"], "--tau-range"),
+    ("tau", ["--eps", "1.1", "--tau-range", "0:0.1:0.3", "--eps-range", "0.9:0.2:1.3"],
+     "--eps-range"),
+    ("two_d", ["--eps-range", "0.9:0.2:1.3", "--tau-range", "0:0.1:0.3", "--eps", "1.1"],
+     "--eps"),
+    ("tau_c", ["--eps-range", "0.9:0.2:1.3", "--eps", "1.1", "--tau-range", "0:0.1:0.3"],
+     "--eps, --tau-range"),
+])
+def test_sweep_flag_the_mode_ignores_is_a_usage_error(tmp_path, capsys, mode, given, unused):
+    # --mode eps with --tau-range used to exit 0 and write only tau = 0 rows
+    out = tmp_path / "s"
+    argv = ["sweep", "--mode", mode, "--graph", sc.demo_graph_path(), "--out", str(out)]
+    assert run(argv + given) == 4
+    assert capsys.readouterr().err == "error: mode=%s does not take %s\n" % (mode, unused)
     assert not out.exists()
 
 

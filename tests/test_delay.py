@@ -8,15 +8,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import surplus_consensus as sc
-from surplus_consensus.system import Spectrum, sort_eigenvalues
+from surplus_consensus.system import NULL_TOLERANCE, Spectrum, sort_eigenvalues
 
-from conftest import max_nonnull_real
+from conftest import max_nonnull_real, reference_oracle
 
 
-def make_spectrum(values, null_tolerance=1e-9):
+def make_spectrum(values):
     vals = sort_eigenvalues(np.asarray(values, dtype=complex))
-    return Spectrum(eigenvalues=vals, null_tolerance=null_tolerance,
-                    null_count=int(np.sum(np.abs(vals) <= null_tolerance)))
+    return Spectrum(eigenvalues=vals,
+                    null_count=int(np.sum(np.abs(vals) <= NULL_TOLERANCE)))
 
 
 # ---------------------------------------------------------------- lambert_w
@@ -210,7 +210,7 @@ def test_rightmost_root_residual_and_dominance(demo6):
         assert best.residual <= 1e-10
         # no scanned candidate beats the returned root
         for lam in spec.eigenvalues:
-            if abs(lam) <= spec.null_tolerance:
+            if abs(lam) <= NULL_TOLERANCE:
                 continue
             for k in range(-2, 3):
                 s = sc.lambert_w(tau * complex(lam), k) / tau
@@ -238,10 +238,10 @@ def test_rightmost_root_wrong_branch_cell():
     # the residual-only lambert_w returned W_-1 for the dominant eigenvalue
     # here, so the scan reported -0.18886, left of the true rightmost root
     g = sc.random_strongly_connected(9, 2, seed=30)
-    sys = sc.build_system(g, 0.2)
-    root = sc.rightmost_root(sc.spectrum(sys), 0.4).root
+    spec = sc.spectrum(sc.build_system(g, 0.2))
+    root = sc.rightmost_root(spec, 0.4).root
     assert root.real == pytest.approx(-0.15733, abs=1e-5)
-    assert abs(root.real - sc.rightmost_root_oracle(sys, 0.4, 30).real) <= 1e-6
+    assert abs(root.real - sc.rightmost_root_oracle(spec, 0.4, 30).real) <= 1e-6
 
 
 def test_rightmost_root_skips_a_failing_nonprincipal_branch(monkeypatch, demo6):
@@ -276,30 +276,44 @@ def test_rightmost_root_skips_a_failing_nonprincipal_branch(monkeypatch, demo6):
 # ---------------------------------------------------------------- oracle
 
 def test_oracle_scalar_margin():
-    root = sc.rightmost_root_oracle(np.array([[-1.0]]), math.pi / 2, 20)
-    assert abs(root.real) <= 1e-6
+    root = sc.rightmost_root_oracle(make_spectrum([-1.0]), math.pi / 2, 20)
+    # of the pair s = +-i, the root with Im >= 0, as rightmost_root reports it
+    assert abs(root - 1j) <= 1e-6
 
 
 def test_oracle_order_precondition(demo6):
-    sys = sc.build_system(demo6, 1.1)
+    spec = sc.spectrum(sc.build_system(demo6, 1.1))
     with pytest.raises(sc.InvalidParameter):
-        sc.rightmost_root_oracle(sys, 0.1, 5)
+        sc.rightmost_root_oracle(spec, 0.1, 5)
 
 
 def test_oracle_matches_lambert(demo6):
-    sys = sc.build_system(demo6, 1.1)
-    spec = sc.spectrum(sys)
+    spec = sc.spectrum(sc.build_system(demo6, 1.1))
     for tau in [0.1, 0.19, 0.3]:
         lw = sc.rightmost_root(spec, tau).root
-        orc = sc.rightmost_root_oracle(sys, tau, 30)
+        orc = sc.rightmost_root_oracle(spec, tau, 30)
         assert abs(lw.real - orc.real) <= 1e-6
         assert abs(abs(lw.imag) - abs(orc.imag)) <= 1e-6
 
 
+@pytest.mark.parametrize("seed", [None, 1, 2, 3], ids=["demo6", "n24-1", "n24-2", "n24-3"])
+def test_oracle_matches_full_generator_reference(demo6, seed):
+    # the scalar generators, one per eigenvalue, have the full generator's
+    # eigenvalues; of a conjugate pair both report the root with Im >= 0
+    g = demo6 if seed is None else sc.random_strongly_connected(24, 72, seed=seed)
+    for eps in (0.5, 1.1):
+        m = sc.build_system(g, eps)
+        spec = sc.spectrum(m)
+        tau_c = sc.tau_critical(spec).tau_c
+        for frac in (0.3, 0.8, 1.4):
+            orc = sc.rightmost_root_oracle(spec, frac * tau_c, 30)
+            assert orc.imag >= 0
+            assert abs(orc - reference_oracle(m, frac * tau_c, 30)) <= 1e-10
+
+
 def test_oracle_small_delay_limit(demo6):
-    sys = sc.build_system(demo6, 1.1)
-    spec = sc.spectrum(sys)
-    orc = sc.rightmost_root_oracle(sys, 1e-6, 30)
+    spec = sc.spectrum(sc.build_system(demo6, 1.1))
+    orc = sc.rightmost_root_oracle(spec, 1e-6, 30)
     assert abs(orc.real - max_nonnull_real(spec)) <= 1e-4
 
 
@@ -418,5 +432,5 @@ def test_oracle_agreement_random(random_graphs):
         margin = sc.tau_critical(spec)
         tau = rng.uniform(0.05, 2.0) * margin.tau_c
         lw = sc.rightmost_root(spec, tau).root
-        orc = sc.rightmost_root_oracle(sys, tau, 30)
+        orc = reference_oracle(sys, tau, 30)
         assert abs(lw.real - orc.real) <= 1e-6

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import surplus_consensus as sc
+from surplus_consensus.system import NULL_TOLERANCE
 
 from conftest import max_nonnull_real
 
@@ -49,7 +50,7 @@ def test_spectrum_two_node_eps0(two_node):
 def test_spectrum_demo_eps0(demo6):
     spec = sc.spectrum(sc.build_system(demo6, 0.0))
     assert spec.null_count == 2
-    nonnull = spec.eigenvalues[np.abs(spec.eigenvalues) > spec.null_tolerance]
+    nonnull = spec.eigenvalues[np.abs(spec.eigenvalues) > NULL_TOLERANCE]
     assert nonnull.size == 10
     assert np.all(nonnull.real < 0)
 
