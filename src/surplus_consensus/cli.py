@@ -34,7 +34,6 @@ EXIT_INTERNAL_ERROR = 6
 # the most points of a range and cells of a sweep grid: a million cells take
 # minutes even at n = 6, so more is a typo, and a tiny step would ask for gigabytes
 MAX_GRID_POINTS = 1_000_000
-MAX_SEED = 2**32 - 1
 
 ROOT_COLUMNS = ["eps", "tau", "re_lambda_r", "im_lambda_r", "source_index", "residual"]
 
@@ -70,13 +69,18 @@ def parse_range(text):
 
 
 def parse_seed(text):
-    """Parse a --seed value, an integer in [0, 2**32 - 1] as np.random.RandomState takes."""
+    """Parse a --seed value, an integer in [0, 2**32 - 1].
+
+    The initial state x0 is np.random.RandomState(seed).uniform(0, 1, n) bit for
+    bit, drawn by sim.seeded_x0 from the standard library's Mersenne Twister,
+    so the CLI never imports numpy.random."""
     try:
         seed = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError("seed %r is not an integer" % text)
-    if not 0 <= seed <= MAX_SEED:
-        raise argparse.ArgumentTypeError("seed must be in [0, %d], got %d" % (MAX_SEED, seed))
+    if not 0 <= seed <= sim_mod.MAX_SEED:
+        raise argparse.ArgumentTypeError("seed must be in [0, %d], got %d"
+                                         % (sim_mod.MAX_SEED, seed))
     return seed
 
 
@@ -159,8 +163,7 @@ def _fmt_complex(v):
 def cmd_simulate(args):
     g = load_graph(args.graph)
     graph_mod.require_strongly_connected(g)
-    rng = np.random.RandomState(args.seed)
-    x0 = rng.uniform(0.0, 1.0, g.n)
+    x0 = sim_mod.seeded_x0(args.seed, g.n)
     cfg = sim_mod.SimConfig(epsilon=args.eps, tau=args.tau, x0=x0,
                             dt=args.dt, t_final=args.t_final)
     traj = sim_mod.simulate(system_mod.build_system(g, args.eps), cfg)
@@ -174,6 +177,7 @@ def cmd_simulate(args):
         ("command", "simulate"),
         ("eps", _fmt(args.eps)),
         ("tau", _fmt(args.tau)),
+        ("t_final", _fmt(traj.t_final)),
         ("verdict", traj.verdict),
         ("target", _fmt(traj.target)),
         ("convergence_time", "none" if conv is None else _fmt(conv)),
@@ -262,7 +266,6 @@ def cmd_sweep(args):
 def cmd_verify(args):
     g = load_graph(args.graph)
     graph_mod.require_strongly_connected(g)
-    rng = np.random.RandomState(args.seed)
     checks = []
 
     eps_bar = system_mod.find_eps_bar(g, np.linspace(0.1, 2.0, 20))
@@ -287,7 +290,7 @@ def cmd_verify(args):
                    abs(tau_star - margin.tau_c) <= 1e-6 * margin.tau_c))
 
     # conservation audit on a short run
-    x0 = rng.uniform(0.0, 1.0, g.n)
+    x0 = sim_mod.seeded_x0(args.seed, g.n)
     tau = min(0.5 * margin.tau_c, 0.2)
     cfg = sim_mod.SimConfig(epsilon=eps, tau=tau, x0=x0, t_final=max(5.0, 4 * tau))
     traj = sim_mod.simulate(m, cfg)

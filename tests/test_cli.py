@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -281,6 +284,40 @@ def test_simulate_demo(tmp_path, capsys):
     rng = np.random.RandomState(42)
     assert meta["consensus_target"] == pytest.approx(rng.uniform(0, 1, 6).mean())
     assert (out / "trajectory.csv").exists()
+
+
+def test_simulate_reports_the_horizon_it_integrated(tmp_path, capsys):
+    # t_final / dt = 40 / 0.0036 = 11,111.1, rounded to 11,111 steps
+    out = tmp_path / "run"
+    assert run(["simulate", "--graph", sc.demo_graph_path(), "--eps", "1.3",
+                "--tau", "0.18", "--t-final", "40", "--out", str(out)]) == 0
+    horizon = 11111 * (0.18 / 50)
+    assert parse_summary(capsys.readouterr().out)["t_final"] == "39.9996"
+    assert json.loads((out / "trajectory.json").read_text())["t_final"] == horizon
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    assert len(lines) == 1 + 11112
+    assert float(lines[-1].split(",")[0]) == horizon
+
+
+# the seeded x0 comes from the standard library's generator: importing
+# numpy.random would load hashlib and OpenSSL into every run
+FRESH_CLI_RUN = """
+import sys
+from surplus_consensus import cli, demo_graph_path
+for argv in (["simulate", "--eps", "1.3", "--tau", "0.18", "--t-final", "5"], ["verify"]):
+    assert cli.main(argv + ["--graph", demo_graph_path()]) == 0
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_cli_never_imports_numpy_random():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", FRESH_CLI_RUN], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_simulate_misaligned_dt(capsys):

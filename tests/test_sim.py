@@ -7,6 +7,8 @@ import pytest
 import scipy.linalg
 
 import surplus_consensus as sc
+from surplus_consensus.sim import (CSV_BLOCK_ROWS, seeded_x0, write_metadata,
+                                   write_trajectory_csv)
 
 
 def test_equilibrium_is_stationary(demo6):
@@ -155,7 +157,6 @@ def test_trajectory_csv_and_metadata(tmp_path, demo6):
     traj = sc.simulate(sc.build_system(demo6, 1.3), cfg)
     csv_path = tmp_path / "traj.csv"
     meta_path = tmp_path / "traj.json"
-    from surplus_consensus.sim import write_metadata, write_trajectory_csv
     write_trajectory_csv(traj, str(csv_path))
     write_metadata(traj, cfg, str(meta_path), seed=6)
     header = csv_path.read_text().splitlines()[0]
@@ -202,10 +203,10 @@ def head(traj, rows):
         conservation_drift=traj.conservation_drift[:rows])
 
 
-@pytest.mark.parametrize("rows", [1, 1024, 1025])
+@pytest.mark.parametrize("rows", [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+                                  CSV_BLOCK_ROWS + 1, 1024, 1025])
 def test_trajectory_csv_matches_savetxt(tmp_path, demo6, rows):
     traj = head(converged_run(demo6), rows)
-    from surplus_consensus.sim import write_trajectory_csv
     write_trajectory_csv(traj, str(tmp_path / "blocks.csv"))
     savetxt_reference(traj, str(tmp_path / "ref.csv"))
     written = (tmp_path / "blocks.csv").read_bytes()
@@ -216,7 +217,6 @@ def test_trajectory_csv_matches_savetxt(tmp_path, demo6, rows):
 def test_trajectory_csv_matches_savetxt_on_overflow(tmp_path, demo6):
     traj = overflowing_run(demo6)
     assert traj.verdict == "diverged" and traj.times.size > 1025
-    from surplus_consensus.sim import write_trajectory_csv
     write_trajectory_csv(traj, str(tmp_path / "blocks.csv"))
     savetxt_reference(traj, str(tmp_path / "ref.csv"))
     written = (tmp_path / "blocks.csv").read_bytes()
@@ -253,3 +253,33 @@ def test_simulate_holds_one_trajectory_array(demo6):
         tracemalloc.stop()
     assert traj.times.size == 20001
     assert peak <= 2 * traj.states.nbytes
+
+
+def test_csv_writer_holds_a_small_block(tmp_path):
+    # 20,001 rows at n = 40, the size of a 20,000-step run: the writer's own
+    # allocations stay a small fraction of the trajectory it formats
+    rows, n = 20001, 40
+    rng = np.random.RandomState(1)
+    traj = sc.Trajectory(times=0.002 * np.arange(rows), states=rng.uniform(0, 1, (rows, 2 * n)),
+                         consensus_error=rng.uniform(0, 1, rows),
+                         conservation_drift=rng.uniform(0, 1e-14, rows), verdict="converged",
+                         decision_time=40.0, target=0.5, t_final=40.0)
+    tracemalloc.start()
+    try:
+        write_trajectory_csv(traj, str(tmp_path / "traj.csv"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= traj.states.nbytes / 16
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**31, 2**32 - 1])
+def test_seeded_x0_is_the_randomstate_stream(seed):
+    for n in (1, 6, 40, 200):
+        assert np.array_equal(seeded_x0(seed, n), np.random.RandomState(seed).uniform(0, 1, n))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**32])
+def test_seeded_x0_rejects_seed_out_of_range(seed):
+    with pytest.raises(sc.InvalidConfig, match="seed must be in"):
+        seeded_x0(seed, 6)
