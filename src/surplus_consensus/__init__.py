@@ -48,7 +48,6 @@ from .sim import (
     SimConfig,
     Trajectory,
     consensus_target,
-    convergence_time,
     simulate,
 )
 from .system import (

@@ -106,11 +106,12 @@ def cmd_analyze(args):
     lam3 = spec0.rightmost_nonnull
     slope = system_mod.lambda2_slope(g)
     tilde = delay_mod.tau_tilde_bound(g)
+    balanced = graph_mod.is_balanced(g)
 
     lines = [
         "nodes: %d" % g.n,
         "edges: %d" % len(g.edges),
-        "balanced: %s" % graph_mod.is_balanced(g),
+        "balanced: %s" % balanced,
         "delta_bar: %d" % prof.delta_bar,
         "eigenvalues of M(0):",
     ]
@@ -125,7 +126,7 @@ def cmd_analyze(args):
         ("command", "analyze"),
         ("n", g.n),
         ("edges", len(g.edges)),
-        ("balanced", str(graph_mod.is_balanced(g)).lower()),
+        ("balanced", str(balanced).lower()),
         ("delta_bar", prof.delta_bar),
         ("null_count_m0", spec0.null_count),
         ("lambda3_re", _fmt(lam3.real)),
@@ -172,7 +173,7 @@ def cmd_simulate(args):
         sim_mod.write_trajectory_csv(traj, os.path.join(args.out, "trajectory.csv"))
         sim_mod.write_metadata(traj, cfg, os.path.join(args.out, "trajectory.json"),
                                seed=args.seed, extra={"graph": args.graph})
-    conv = sim_mod.convergence_time(traj)
+    conv = traj.convergence_time
     _summary([
         ("command", "simulate"),
         ("eps", _fmt(args.eps)),

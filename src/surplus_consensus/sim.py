@@ -15,6 +15,9 @@ DEFAULT_DIVERGENCE_THRESHOLD = 1e6
 # allocations under 0.4 MB, against 12.8 MB of states in a 20,000-step run
 CSV_BLOCK_ROWS = 64
 MAX_SEED = 2**32 - 1
+# the most values of the states array simulate allocates, 800 MB: a tiny dt or
+# a long horizon would otherwise fail allocating or run for hours
+MAX_STATE_VALUES = 10**8
 
 
 @dataclass(frozen=True)
@@ -28,7 +31,9 @@ class SimConfig:
     divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD
 
     def resolved(self):
-        """Fill defaults (z0 = 0, dt = tau/50 or 1e-2) and validate invariants."""
+        """Fill defaults (z0 = 0, dt = tau/50 or 1e-2) and validate invariants.
+
+        Returns (x0, z0, dt, delay_steps, nsteps), nsteps = round(t_final/dt)."""
         for name in ("tau", "dt", "t_final"):
             value = getattr(self, name)
             if value is not None and not np.isfinite(value):
@@ -46,6 +51,14 @@ class SimConfig:
             raise InvalidConfig("tau must be non-negative, got %r" % (self.tau,))
         if self.t_final <= 0 or self.t_final < self.tau:
             raise InvalidConfig("t_final must be positive and at least tau")
+        # (delay_steps + nsteps + 1) x 2n values, counted in floats so that a
+        # tiny dt gives a huge count or inf, not an exception
+        if ((self.tau + self.t_final) / dt + 1) * 2 * x0.size > MAX_STATE_VALUES:
+            raise InvalidConfig("the run would hold more than %d state values; "
+                                "raise dt or shorten t_final" % MAX_STATE_VALUES)
+        nsteps = int(round(self.t_final / dt))
+        if nsteps < 1:
+            raise InvalidConfig("t_final must be at least one step dt")
         delay_steps = 0
         if self.tau > 0:
             ratio = self.tau / dt
@@ -56,7 +69,7 @@ class SimConfig:
                 )
             if delay_steps < 10:
                 raise InvalidConfig("tau/dt must be at least 10, got %d" % delay_steps)
-        return x0, z0, float(dt), delay_steps
+        return x0, z0, float(dt), delay_steps, nsteps
 
 
 @dataclass(frozen=True)
@@ -67,29 +80,32 @@ class Trajectory:
     conservation_drift: np.ndarray
     verdict: str
     decision_time: float
+    convergence_time: float  # None when the last sample is above the tolerance
     target: float
     t_final: float  # the horizon integrated, nsteps * dt with nsteps = round(t_final / dt)
 
 
 def consensus_target(cfg):
     """The invariant consensus value (1'x0 + 1'z0) / n."""
-    x0, z0, _, _ = cfg.resolved()
+    x0, z0, _, _, _ = cfg.resolved()
     return float((x0.sum() + z0.sum()) / x0.size)
 
 
 def simulate(m, cfg):
     """Integrate the delayed dynamics and grade the run.
 
-    Verdict: 'converged' once the consensus error stays below the tolerance for
-    a window of 5% of t_final; 'diverged' when any state exceeds the divergence
-    threshold (or turns non-finite); otherwise 'inconclusive'.
+    The run settles at the first sample from which the consensus error stays
+    below CONSENSUS_TOLERANCE to the end, a NaN counting as above: that is
+    convergence_time, None if the last sample is above. Verdict: 'diverged' when
+    any state exceeds the divergence threshold or turns non-finite; 'converged',
+    at the window's end, when the settled stretch spans a window of 5% of
+    t_final; otherwise 'inconclusive'.
     """
-    x0, z0, dt, delay_steps = cfg.resolved()
+    x0, z0, dt, delay_steps, nsteps = cfg.resolved()
     n = x0.size
     if m.shape[0] != 2 * n:
         raise InvalidConfig("system dimension %d does not match x0 length %d"
                             % (m.shape[0], 2 * n))
-    nsteps = int(round(cfg.t_final / dt))
     y0 = np.ascontiguousarray(np.concatenate([x0, z0]))
     mat = np.ascontiguousarray(m)
     if delay_steps > 0:
@@ -109,20 +125,19 @@ def simulate(m, cfg):
     total0 = y0.sum()
     drift = np.abs(states.sum(axis=1) - total0)
 
+    above = np.flatnonzero(~(err < CONSENSUS_TOLERANCE))
+    settle = above[-1] + 1 if above.size else 0
+    window = max(1, int(round(0.05 * cfg.t_final / dt)))
+    verdict, decision_time = "inconclusive", times[-1]
     if last < nsteps:
-        verdict, decision_time = "diverged", times[-1]
-    else:
-        verdict, decision_time = "inconclusive", times[-1]
-        window = max(1, int(round(0.05 * cfg.t_final / dt)))
-        # below[i - window .. i] all true <=> window + 1 trues end at sample i
-        count = np.concatenate([[0], np.cumsum(err < CONSENSUS_TOLERANCE)])
-        hits = np.flatnonzero(count[window + 1:] - count[:-window - 1] == window + 1)
-        if hits.size:
-            verdict, decision_time = "converged", times[hits[0] + window]
+        verdict = "diverged"
+    elif settle + window <= last:
+        verdict, decision_time = "converged", times[settle + window]
     return Trajectory(times=times, states=states, consensus_error=err,
                       conservation_drift=drift, verdict=verdict,
-                      decision_time=float(decision_time), target=target,
-                      t_final=nsteps * dt)
+                      decision_time=float(decision_time),
+                      convergence_time=float(times[settle]) if settle <= last else None,
+                      target=target, t_final=nsteps * dt)
 
 
 def seeded_x0(seed, n):
@@ -145,19 +160,6 @@ def seeded_x0(seed, n):
     return np.array([rng.random() for _ in range(n)])
 
 
-def convergence_time(traj):
-    """First time after which the consensus error stays below CONSENSUS_TOLERANCE;
-    None if never."""
-    below = traj.consensus_error < CONSENSUS_TOLERANCE
-    if not below[-1]:
-        return None
-    # last index where the error is at or above the tolerance
-    above = np.nonzero(~below)[0]
-    if above.size == 0:
-        return 0.0
-    return float(traj.times[above[-1] + 1])
-
-
 def write_trajectory_csv(traj, path):
     """One row per sample, t, x, z, error and drift, each formatted "%.17g":
     the bytes of np.savetxt on the full table, written CSV_BLOCK_ROWS rows at
@@ -178,7 +180,7 @@ def write_trajectory_csv(traj, path):
 
 
 def write_metadata(traj, cfg, path, seed=None, extra=None):
-    x0, z0, dt, _ = cfg.resolved()
+    x0, z0, dt, _, _ = cfg.resolved()
     doc = {
         "epsilon": cfg.epsilon,
         "tau": cfg.tau,
@@ -192,7 +194,7 @@ def write_metadata(traj, cfg, path, seed=None, extra=None):
         "verdict": traj.verdict,
         "decision_time": traj.decision_time,
         "consensus_target": traj.target,
-        "convergence_time": convergence_time(traj),
+        "convergence_time": traj.convergence_time,
     }
     if extra:
         doc.update(extra)

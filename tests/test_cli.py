@@ -156,6 +156,26 @@ def test_non_finite_value_is_a_usage_error(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    # round(0.001 / 0.01) = 0 steps of the default dt
+    (["--tau", "0", "--t-final", "0.001"], "t_final must be at least one step dt"),
+    # (1e7 + 4e8 + 1) x 12 values, 36.7 GiB
+    (["--tau", "1", "--dt", "1e-7", "--t-final", "40"],
+     "the run would hold more than 100000000 state values; raise dt or shorten t_final"),
+], ids=["zero-steps", "over-the-cap"])
+def test_simulate_grid_out_of_bounds_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                      argv, message):
+    def refuse(*args):
+        raise AssertionError("integrated a run the config check should refuse")
+    monkeypatch.setattr(cli.sim_mod._integrator, "integrate_delayed", refuse)
+    monkeypatch.setattr(cli.sim_mod._integrator, "integrate_undelayed", refuse)
+    out = tmp_path / "out"
+    assert run(["simulate", "--graph", sc.demo_graph_path(), "--eps", "1.1",
+                "--out", str(out)] + argv) == 4
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode,ranges,message", [
     ("eps", ["--eps-range=-0.5:0.5:0.5"], "epsilon must be non-negative, got -0.5"),
     ("tau", ["--eps=-0.5", "--tau-range", "0:0.1:0.2"],

@@ -7,8 +7,8 @@ import pytest
 import scipy.linalg
 
 import surplus_consensus as sc
-from surplus_consensus.sim import (CSV_BLOCK_ROWS, seeded_x0, write_metadata,
-                                   write_trajectory_csv)
+from surplus_consensus.sim import (CONSENSUS_TOLERANCE, CSV_BLOCK_ROWS, MAX_STATE_VALUES,
+                                   seeded_x0, write_metadata, write_trajectory_csv)
 
 
 def test_equilibrium_is_stationary(demo6):
@@ -18,10 +18,14 @@ def test_equilibrium_is_stationary(demo6):
     assert np.max(np.abs(traj.states - traj.states[0])) <= 1e-12
     assert np.max(traj.consensus_error) <= 1e-12
     assert traj.verdict == "converged"
-    # the first sample that ends a run of window + 1 samples below tolerance
+    # settled from the first sample; decided window samples later
     window = int(round(0.05 * cfg.t_final / (cfg.tau / 50)))
-    assert traj.decision_time == traj.times[window]
-    assert sc.convergence_time(traj) == 0.0
+    assert traj.convergence_time == traj.times[0] == 0.0
+    assert traj.decision_time == traj.times[0 + window]
+    # the shortest run, one step: settled from sample 0 with a window of one step
+    cfg = sc.SimConfig(epsilon=1.3, tau=0.0, x0=3.7 * np.ones(6), t_final=1e-2)
+    traj = sc.simulate(sys, cfg)
+    assert (traj.verdict, traj.convergence_time, traj.decision_time) == ("converged", 0.0, 1e-2)
 
 
 def test_demo_run_converges(demo6):
@@ -32,7 +36,14 @@ def test_demo_run_converges(demo6):
     traj = sc.simulate(sys, cfg)
     assert traj.verdict == "converged"
     assert np.max(np.abs(traj.states[-1, :6] - x0.mean())) <= 1e-3
-    assert sc.convergence_time(traj) is not None
+    # the settling index: the error is above the tolerance just before it and
+    # below it from there to the end
+    err = traj.consensus_error
+    settle = np.flatnonzero(err >= CONSENSUS_TOLERANCE)[-1] + 1
+    assert settle > 0 and np.all(err[settle:] < CONSENSUS_TOLERANCE)
+    window = int(round(0.05 * cfg.t_final / (cfg.tau / 50)))
+    assert traj.convergence_time == traj.times[settle]
+    assert traj.decision_time == traj.times[settle + window]
 
 
 def test_beyond_margin_diverges(demo6):
@@ -44,11 +55,25 @@ def test_beyond_margin_diverges(demo6):
                        dt=tau / 50, t_final=400.0)
     traj = sc.simulate(sc.build_system(demo6, 1.1), cfg)
     assert traj.verdict == "diverged"
-    assert sc.convergence_time(traj) is None
+    assert traj.convergence_time is None
     # the run ends on the first row over the threshold
     peak = np.abs(traj.states).max(axis=1)
     assert peak[-1] > cfg.divergence_threshold
     assert np.all(peak[:-1] <= cfg.divergence_threshold)
+
+
+def test_start_within_tolerance_beyond_margin_is_not_converged(demo6):
+    # tau = 0.25 is past tau_c = 0.206: the error starts within 1e-9 of
+    # consensus, stays below the tolerance for over a window, then grows
+    x0 = 0.5 + 1e-9 * np.linspace(-1, 1, 6)
+    cfg = sc.SimConfig(epsilon=1.1, tau=0.25, x0=x0, t_final=40.0)
+    traj = sc.simulate(sc.build_system(demo6, 1.1), cfg)
+    window = int(round(0.05 * cfg.t_final / (cfg.tau / 50)))
+    assert np.all(traj.consensus_error[:window + 1] < CONSENSUS_TOLERANCE)
+    assert traj.consensus_error[-1] > 0.01
+    assert traj.verdict == "inconclusive"
+    assert traj.convergence_time is None
+    assert traj.decision_time == 40.0
 
 
 def test_consensus_target():
@@ -92,6 +117,21 @@ def test_t_final_shorter_than_tau_rejected(demo6):
     cfg = sc.SimConfig(epsilon=1.3, tau=2.0, x0=np.ones(6), t_final=1.0)
     with pytest.raises(sc.InvalidConfig):
         sc.simulate(sc.build_system(demo6, 1.3), cfg)
+
+
+def test_states_over_the_cap_rejected_before_allocating():
+    # rows = delay_steps + nsteps + 1 of 2n = 12 values; the cap allows
+    # 8,333,333 rows, and resolved() allocates no states either way
+    cap_rows = MAX_STATE_VALUES // 12
+    ok = sc.SimConfig(epsilon=1.0, tau=0.0, x0=np.ones(6), t_final=(cap_rows - 1) * 1e-2)
+    assert ok.resolved()[4] == cap_rows - 1
+    over = sc.SimConfig(epsilon=1.0, tau=0.0, x0=np.ones(6), t_final=cap_rows * 1e-2)
+    with pytest.raises(sc.InvalidConfig, match="more than 100000000 state values"):
+        over.resolved()
+    # a step so small that the step count overflows a float
+    tiny = sc.SimConfig(epsilon=1.0, tau=1.0, x0=np.ones(6), dt=1e-310, t_final=40.0)
+    with pytest.raises(sc.InvalidConfig, match="state values"):
+        tiny.resolved()
 
 
 def test_tau_zero_matches_expm(demo6):
@@ -235,6 +275,8 @@ def test_consensus_error_is_max_abs_deviation(demo6, run):
         # M y0 overflows to inf - inf at the first step
         traj = overflowing_run(demo6, 1e308 * np.array([1.0, -1.0] * 3))
         assert np.isnan(traj.consensus_error[-1])
+        # a NaN error counts as above the tolerance
+        assert traj.convergence_time is None
     with np.errstate(invalid="ignore"):
         ref = np.max(np.abs(traj.states[:, :6] - traj.target), axis=1)
     assert np.array_equal(traj.consensus_error, ref, equal_nan=True)
@@ -263,7 +305,7 @@ def test_csv_writer_holds_a_small_block(tmp_path):
     traj = sc.Trajectory(times=0.002 * np.arange(rows), states=rng.uniform(0, 1, (rows, 2 * n)),
                          consensus_error=rng.uniform(0, 1, rows),
                          conservation_drift=rng.uniform(0, 1e-14, rows), verdict="converged",
-                         decision_time=40.0, target=0.5, t_final=40.0)
+                         decision_time=40.0, convergence_time=38.0, target=0.5, t_final=40.0)
     tracemalloc.start()
     try:
         write_trajectory_csv(traj, str(tmp_path / "traj.csv"))
