@@ -47,7 +47,6 @@ from .graph import (
 from .sim import (
     SimConfig,
     Trajectory,
-    consensus_target,
     simulate,
 )
 from .system import (

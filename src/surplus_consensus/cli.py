@@ -165,14 +165,13 @@ def cmd_simulate(args):
     g = load_graph(args.graph)
     graph_mod.require_strongly_connected(g)
     x0 = sim_mod.seeded_x0(args.seed, g.n)
-    cfg = sim_mod.SimConfig(epsilon=args.eps, tau=args.tau, x0=x0,
-                            dt=args.dt, t_final=args.t_final)
+    cfg = sim_mod.SimConfig(tau=args.tau, x0=x0, dt=args.dt, t_final=args.t_final)
     traj = sim_mod.simulate(system_mod.build_system(g, args.eps), cfg)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         sim_mod.write_trajectory_csv(traj, os.path.join(args.out, "trajectory.csv"))
         sim_mod.write_metadata(traj, cfg, os.path.join(args.out, "trajectory.json"),
-                               seed=args.seed, extra={"graph": args.graph})
+                               {"epsilon": args.eps, "graph": args.graph, "seed": args.seed})
     conv = traj.convergence_time
     _summary([
         ("command", "simulate"),
@@ -293,7 +292,7 @@ def cmd_verify(args):
     # conservation audit on a short run
     x0 = sim_mod.seeded_x0(args.seed, g.n)
     tau = min(0.5 * margin.tau_c, 0.2)
-    cfg = sim_mod.SimConfig(epsilon=eps, tau=tau, x0=x0, t_final=max(5.0, 4 * tau))
+    cfg = sim_mod.SimConfig(tau=tau, x0=x0, t_final=max(5.0, 4 * tau))
     traj = sim_mod.simulate(m, cfg)
     bound = 1e-6 * (1.0 + abs(x0.sum()))
     checks.append(("conservation", float(traj.conservation_drift.max()) <= bound))

@@ -168,6 +168,14 @@ def tau_tilde_bound(g):
     return (1.0 / (2.0 * delta_bar)) * math.atan(abs(lam3.real) / delta_bar)
 
 
+def _require_positive_delay(tau):
+    """Raise InvalidParameter unless tau is finite and positive."""
+    if not math.isfinite(tau):
+        raise InvalidParameter("tau must be finite, got %r" % (float(tau),))
+    if tau <= 0:
+        raise InvalidParameter("tau must be positive, got %r" % (float(tau),))
+
+
 def rightmost_root(spec, tau):
     """Rightmost non-null root of the quasi-polynomial at delay tau.
 
@@ -184,8 +192,7 @@ def rightmost_root(spec, tau):
     Cost: 5 (2n - 1) lambert_w calls at n nodes, 5-7 us each on one core of a
     2-vCPU Xeon; at n = 200 one call takes 11-14 ms.
     """
-    if tau <= 0:
-        raise InvalidParameter("tau must be positive, got %r" % (float(tau),))
+    _require_positive_delay(tau)
     best, best_re, best_im = None, -math.inf, -math.inf
     for i, lam in zip(spec.nonnull_index.tolist(), spec.nonnull.tolist()):
         z = tau * lam
@@ -224,8 +231,7 @@ def rightmost_root_oracle(spec, tau, discretization_order=30):
     system's generator on [-tau, 0] (Breda, Maset & Vermiglio, 2005). It splits into
     one scalar generator per eigenvalue, since det(sI - M e^{-s tau}) =
     prod_i (s - lambda_i e^{-s tau}) for any M (Jarlebring & Damm, 2007)."""
-    if tau <= 0:
-        raise InvalidParameter("tau must be positive, got %r" % (float(tau),))
+    _require_positive_delay(tau)
     if discretization_order < 10:
         raise InvalidParameter("discretization order must be at least 10")
     lam = spec.nonnull

@@ -22,7 +22,6 @@ MAX_STATE_VALUES = 10**8
 
 @dataclass(frozen=True)
 class SimConfig:
-    epsilon: float
     tau: float
     x0: np.ndarray
     z0: np.ndarray = None
@@ -38,7 +37,12 @@ class SimConfig:
             value = getattr(self, name)
             if value is not None and not np.isfinite(value):
                 raise InvalidConfig("%s must be finite, got %r" % (name, float(value)))
+        if not self.divergence_threshold > 0:
+            raise InvalidConfig("divergence_threshold must be positive, got %r"
+                                % (float(self.divergence_threshold),))
         x0 = np.asarray(self.x0, dtype=float)
+        if x0.ndim != 1 or x0.size == 0:
+            raise InvalidConfig("x0 must be a non-empty 1-D array, got shape %r" % (x0.shape,))
         z0 = np.zeros_like(x0) if self.z0 is None else np.asarray(self.z0, dtype=float)
         if z0.shape != x0.shape:
             raise InvalidConfig("x0 and z0 must have the same length")
@@ -85,12 +89,6 @@ class Trajectory:
     t_final: float  # the horizon integrated, nsteps * dt with nsteps = round(t_final / dt)
 
 
-def consensus_target(cfg):
-    """The invariant consensus value (1'x0 + 1'z0) / n."""
-    x0, z0, _, _, _ = cfg.resolved()
-    return float((x0.sum() + z0.sum()) / x0.size)
-
-
 def simulate(m, cfg):
     """Integrate the delayed dynamics and grade the run.
 
@@ -106,6 +104,7 @@ def simulate(m, cfg):
     if m.shape[0] != 2 * n:
         raise InvalidConfig("system dimension %d does not match x0 length %d"
                             % (m.shape[0], 2 * n))
+    target = float((x0.sum() + z0.sum()) / n)  # the invariant (1'x0 + 1'z0) / n
     y0 = np.ascontiguousarray(np.concatenate([x0, z0]))
     mat = np.ascontiguousarray(m)
     if delay_steps > 0:
@@ -117,7 +116,6 @@ def simulate(m, cfg):
     states = states[:last + 1]
     times = dt * np.arange(last + 1)
 
-    target = consensus_target(cfg)
     # max |x - target| without an n-column temporary: rounding is monotone and
     # fl(a - b) = -fl(b - a), so this is exact, NaN and inf included
     x = states[:, :n]
@@ -179,10 +177,11 @@ def write_trajectory_csv(traj, path):
             fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
-def write_metadata(traj, cfg, path, seed=None, extra=None):
+def write_metadata(traj, cfg, path, extra):
+    """Write the run's configuration and grades as sorted JSON; extra adds what
+    simulate does not see, such as epsilon, the graph and the seed."""
     x0, z0, dt, _, _ = cfg.resolved()
     doc = {
-        "epsilon": cfg.epsilon,
         "tau": cfg.tau,
         "dt": dt,
         "t_final": traj.t_final,
@@ -190,14 +189,12 @@ def write_metadata(traj, cfg, path, seed=None, extra=None):
         "z0": list(z0),
         "consensus_tolerance": CONSENSUS_TOLERANCE,
         "divergence_threshold": cfg.divergence_threshold,
-        "seed": seed,
         "verdict": traj.verdict,
         "decision_time": traj.decision_time,
         "consensus_target": traj.target,
         "convergence_time": traj.convergence_time,
     }
-    if extra:
-        doc.update(extra)
+    doc.update(extra)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -31,7 +31,7 @@ def report(number, name, ok, detail=""):
 def demo_run(demo6):
     rng = np.random.RandomState(SEED)
     x0 = rng.uniform(0, 1, 6)
-    cfg = sc.SimConfig(epsilon=1.3, tau=0.18, x0=x0, t_final=40.0)
+    cfg = sc.SimConfig(tau=0.18, x0=x0, t_final=40.0)
     start = time.time()
     traj = sc.simulate(sc.build_system(demo6, 1.3), cfg)
     return x0, traj, time.time() - start
@@ -163,7 +163,7 @@ def test_criterion_9_spectral_simulation(demo6):
         for tau in tau_grid:
             rate = sc.rightmost_root(spec, tau).root.real
             t_final = 20.0 if rate < 0 else 200.0
-            cfg = sc.SimConfig(epsilon=eps, tau=tau, x0=x0, t_final=t_final)
+            cfg = sc.SimConfig(tau=tau, x0=x0, t_final=t_final)
             traj = sc.simulate(sys, cfg)
             expected = "converged" if rate < 0 else "diverged"
             if traj.verdict != expected:
@@ -192,7 +192,7 @@ def test_criterion_10_integrator_order(demo6):
     x0 = rng.uniform(0, 1, 6)
 
     def end_state(divisor):
-        cfg = sc.SimConfig(epsilon=1.3, tau=0.2, x0=x0, dt=0.2 / divisor,
+        cfg = sc.SimConfig(tau=0.2, x0=x0, dt=0.2 / divisor,
                            t_final=5.0)
         return sc.simulate(sys, cfg).states[-1]
 

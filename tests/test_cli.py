@@ -301,6 +301,12 @@ def test_simulate_demo(tmp_path, capsys):
     assert summary["verdict"] == "converged"
     assert summary["convergence_time"] != "none"
     meta = json.loads((out / "trajectory.json").read_text())
+    assert sorted(meta) == [
+        "consensus_target", "consensus_tolerance", "convergence_time", "decision_time",
+        "divergence_threshold", "dt", "epsilon", "graph", "seed", "t_final", "tau",
+        "verdict", "x0", "z0"]
+    # what simulate cannot see comes from the command line
+    assert (meta["epsilon"], meta["seed"], meta["graph"]) == (1.3, 42, sc.demo_graph_path())
     rng = np.random.RandomState(42)
     assert meta["consensus_target"] == pytest.approx(rng.uniform(0, 1, 6).mean())
     assert (out / "trajectory.csv").exists()

@@ -201,6 +201,13 @@ def test_rightmost_root_requires_positive_tau(demo6):
     spec = sc.spectrum(sc.build_system(demo6, 1.1))
     with pytest.raises(sc.InvalidParameter):
         sc.rightmost_root(spec, 0.0)
+    # both routes share one check: a NaN or infinite delay is a bad parameter,
+    # not a solver failure
+    for solver in (sc.rightmost_root, sc.rightmost_root_oracle):
+        for tau in (math.nan, math.inf):
+            with pytest.raises(sc.InvalidParameter) as info:
+                solver(spec, tau)
+            assert str(info.value) == "tau must be finite, got %r" % tau
 
 
 def test_rightmost_root_residual_and_dominance(demo6):

@@ -39,3 +39,10 @@ def test_readme_cli_commands_run(tmp_path, capsys):
         assert cli.main(argv) == 0, argv
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1 and lines[0].startswith("command=%s " % argv[0]), lines
+
+
+def test_readme_entry_points_exist():
+    sentence = re.search(r"Other entry points:(.*?)\.\n", README.read_text(), re.DOTALL)
+    names = re.findall(r"`(\w+)`", sentence.group(1))
+    assert len(names) >= 10
+    assert [name for name in names if not hasattr(sc, name)] == []

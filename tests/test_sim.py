@@ -13,7 +13,7 @@ from surplus_consensus.sim import (CONSENSUS_TOLERANCE, CSV_BLOCK_ROWS, MAX_STAT
 
 def test_equilibrium_is_stationary(demo6):
     sys = sc.build_system(demo6, 1.3)
-    cfg = sc.SimConfig(epsilon=1.3, tau=0.2, x0=3.7 * np.ones(6), t_final=5.0)
+    cfg = sc.SimConfig(tau=0.2, x0=3.7 * np.ones(6), t_final=5.0)
     traj = sc.simulate(sys, cfg)
     assert np.max(np.abs(traj.states - traj.states[0])) <= 1e-12
     assert np.max(traj.consensus_error) <= 1e-12
@@ -23,7 +23,7 @@ def test_equilibrium_is_stationary(demo6):
     assert traj.convergence_time == traj.times[0] == 0.0
     assert traj.decision_time == traj.times[0 + window]
     # the shortest run, one step: settled from sample 0 with a window of one step
-    cfg = sc.SimConfig(epsilon=1.3, tau=0.0, x0=3.7 * np.ones(6), t_final=1e-2)
+    cfg = sc.SimConfig(tau=0.0, x0=3.7 * np.ones(6), t_final=1e-2)
     traj = sc.simulate(sys, cfg)
     assert (traj.verdict, traj.convergence_time, traj.decision_time) == ("converged", 0.0, 1e-2)
 
@@ -32,7 +32,7 @@ def test_demo_run_converges(demo6):
     rng = np.random.RandomState(42)
     x0 = rng.uniform(0, 1, 6)
     sys = sc.build_system(demo6, 1.3)
-    cfg = sc.SimConfig(epsilon=1.3, tau=0.18, x0=x0, t_final=40.0)
+    cfg = sc.SimConfig(tau=0.18, x0=x0, t_final=40.0)
     traj = sc.simulate(sys, cfg)
     assert traj.verdict == "converged"
     assert np.max(np.abs(traj.states[-1, :6] - x0.mean())) <= 1e-3
@@ -51,7 +51,7 @@ def test_beyond_margin_diverges(demo6):
     tau_c = sc.tau_critical(spec).tau_c
     tau = round(1.5 * tau_c, 4)
     rng = np.random.RandomState(3)
-    cfg = sc.SimConfig(epsilon=1.1, tau=tau, x0=rng.uniform(0, 1, 6),
+    cfg = sc.SimConfig(tau=tau, x0=rng.uniform(0, 1, 6),
                        dt=tau / 50, t_final=400.0)
     traj = sc.simulate(sc.build_system(demo6, 1.1), cfg)
     assert traj.verdict == "diverged"
@@ -66,7 +66,7 @@ def test_start_within_tolerance_beyond_margin_is_not_converged(demo6):
     # tau = 0.25 is past tau_c = 0.206: the error starts within 1e-9 of
     # consensus, stays below the tolerance for over a window, then grows
     x0 = 0.5 + 1e-9 * np.linspace(-1, 1, 6)
-    cfg = sc.SimConfig(epsilon=1.1, tau=0.25, x0=x0, t_final=40.0)
+    cfg = sc.SimConfig(tau=0.25, x0=x0, t_final=40.0)
     traj = sc.simulate(sc.build_system(demo6, 1.1), cfg)
     window = int(round(0.05 * cfg.t_final / (cfg.tau / 50)))
     assert np.all(traj.consensus_error[:window + 1] < CONSENSUS_TOLERANCE)
@@ -76,18 +76,20 @@ def test_start_within_tolerance_beyond_margin_is_not_converged(demo6):
     assert traj.decision_time == 40.0
 
 
-def test_consensus_target():
-    cfg = sc.SimConfig(epsilon=1.0, tau=0.0, x0=np.array([1.0, 2.0, 3.0]))
-    assert sc.consensus_target(cfg) == 2.0
-    cfg = sc.SimConfig(epsilon=1.0, tau=0.0, x0=np.array([1.0, 2.0, 3.0]),
-                       z0=np.array([3.0, 0.0, 0.0]))
-    assert sc.consensus_target(cfg) == 3.0
+def test_consensus_target(three_cycle):
+    # (1'x0 + 1'z0) / n, on one-step runs without delay
+    m = sc.build_system(three_cycle, 1.0)
+    cfg = sc.SimConfig(tau=0.0, x0=np.array([1.0, 2.0, 3.0]), t_final=1e-2)
+    assert sc.simulate(m, cfg).target == 2.0
+    cfg = sc.SimConfig(tau=0.0, x0=np.array([1.0, 2.0, 3.0]),
+                       z0=np.array([3.0, 0.0, 0.0]), t_final=1e-2)
+    assert sc.simulate(m, cfg).target == 3.0
 
 
 def test_target_matches_trajectory_limit(demo6):
     rng = np.random.RandomState(0)
     x0 = rng.uniform(0, 1, 6)
-    cfg = sc.SimConfig(epsilon=1.3, tau=0.18, x0=x0, t_final=40.0)
+    cfg = sc.SimConfig(tau=0.18, x0=x0, t_final=40.0)
     traj = sc.simulate(sc.build_system(demo6, 1.3), cfg)
     assert traj.target == pytest.approx(x0.mean(), abs=1e-12)
     assert np.max(np.abs(traj.states[-1, :6] - traj.target)) <= 1e-3
@@ -96,40 +98,64 @@ def test_target_matches_trajectory_limit(demo6):
 def test_conservation_with_delay(demo6):
     rng = np.random.RandomState(9)
     x0 = rng.uniform(-2, 2, 6)
-    cfg = sc.SimConfig(epsilon=0.9, tau=0.15, x0=x0, t_final=20.0)
+    cfg = sc.SimConfig(tau=0.15, x0=x0, t_final=20.0)
     traj = sc.simulate(sc.build_system(demo6, 0.9), cfg)
     assert float(traj.conservation_drift.max()) <= 1e-6 * (1 + abs(x0.sum()))
 
 
 def test_misaligned_tau_dt_rejected(demo6):
-    cfg = sc.SimConfig(epsilon=1.3, tau=0.18, x0=np.ones(6), dt=0.007)
+    cfg = sc.SimConfig(tau=0.18, x0=np.ones(6), dt=0.007)
     with pytest.raises(sc.InvalidConfig, match="integer"):
         sc.simulate(sc.build_system(demo6, 1.3), cfg)
 
 
 def test_coarse_delay_resolution_rejected(demo6):
-    cfg = sc.SimConfig(epsilon=1.3, tau=0.1, x0=np.ones(6), dt=0.05)
+    cfg = sc.SimConfig(tau=0.1, x0=np.ones(6), dt=0.05)
     with pytest.raises(sc.InvalidConfig, match="at least 10"):
         sc.simulate(sc.build_system(demo6, 1.3), cfg)
 
 
 def test_t_final_shorter_than_tau_rejected(demo6):
-    cfg = sc.SimConfig(epsilon=1.3, tau=2.0, x0=np.ones(6), t_final=1.0)
+    cfg = sc.SimConfig(tau=2.0, x0=np.ones(6), t_final=1.0)
     with pytest.raises(sc.InvalidConfig):
         sc.simulate(sc.build_system(demo6, 1.3), cfg)
+
+
+@pytest.mark.parametrize("threshold", [0.0, -1.0, np.nan])
+def test_divergence_threshold_not_positive_rejected(demo6, threshold):
+    # 0 or -1 would grade this converging run diverged at its first step, and
+    # nan, which no state exceeds, would never grade a run diverged
+    cfg = sc.SimConfig(tau=0.18, x0=seeded_x0(0, 6), divergence_threshold=threshold)
+    with pytest.raises(sc.InvalidConfig) as info:
+        sc.simulate(sc.build_system(demo6, 1.3), cfg)
+    assert str(info.value) == "divergence_threshold must be positive, got %r" % threshold
+    # inf, no threshold at all, is valid
+    sc.SimConfig(tau=0.18, x0=np.ones(6), divergence_threshold=np.inf).resolved()
+
+
+def test_x0_not_one_dimensional_rejected(demo6):
+    # 2 x 3 initial states hold 6 values, as many as demo6 has nodes
+    cfg = sc.SimConfig(tau=0.18, x0=np.ones((2, 3)))
+    with pytest.raises(sc.InvalidConfig) as info:
+        sc.simulate(sc.build_system(demo6, 1.3), cfg)
+    assert str(info.value) == "x0 must be a non-empty 1-D array, got shape (2, 3)"
+    # no agents: the 0 x 0 system matches, and the target would be 0 / 0
+    cfg = sc.SimConfig(tau=0.0, x0=np.ones(0), t_final=1.0)
+    with pytest.raises(sc.InvalidConfig, match=r"got shape \(0,\)"):
+        sc.simulate(np.zeros((0, 0)), cfg)
 
 
 def test_states_over_the_cap_rejected_before_allocating():
     # rows = delay_steps + nsteps + 1 of 2n = 12 values; the cap allows
     # 8,333,333 rows, and resolved() allocates no states either way
     cap_rows = MAX_STATE_VALUES // 12
-    ok = sc.SimConfig(epsilon=1.0, tau=0.0, x0=np.ones(6), t_final=(cap_rows - 1) * 1e-2)
+    ok = sc.SimConfig(tau=0.0, x0=np.ones(6), t_final=(cap_rows - 1) * 1e-2)
     assert ok.resolved()[4] == cap_rows - 1
-    over = sc.SimConfig(epsilon=1.0, tau=0.0, x0=np.ones(6), t_final=cap_rows * 1e-2)
+    over = sc.SimConfig(tau=0.0, x0=np.ones(6), t_final=cap_rows * 1e-2)
     with pytest.raises(sc.InvalidConfig, match="more than 100000000 state values"):
         over.resolved()
     # a step so small that the step count overflows a float
-    tiny = sc.SimConfig(epsilon=1.0, tau=1.0, x0=np.ones(6), dt=1e-310, t_final=40.0)
+    tiny = sc.SimConfig(tau=1.0, x0=np.ones(6), dt=1e-310, t_final=40.0)
     with pytest.raises(sc.InvalidConfig, match="state values"):
         tiny.resolved()
 
@@ -138,7 +164,7 @@ def test_tau_zero_matches_expm(demo6):
     rng = np.random.RandomState(4)
     x0 = rng.uniform(0, 1, 6)
     sys = sc.build_system(demo6, 1.3)
-    cfg = sc.SimConfig(epsilon=1.3, tau=0.0, x0=x0, dt=1e-2, t_final=1.0)
+    cfg = sc.SimConfig(tau=0.0, x0=x0, dt=1e-2, t_final=1.0)
     traj = sc.simulate(sys, cfg)
     y0 = np.concatenate([x0, np.zeros(6)])
     ref = scipy.linalg.expm(sys) @ y0
@@ -168,7 +194,7 @@ def test_delayed_kernel_matches_stepwise_reference(demo6):
     rng = np.random.RandomState(5)
     x0 = rng.uniform(0, 1, 6)
     sys = sc.build_system(demo6, 1.3)
-    cfg = sc.SimConfig(epsilon=1.3, tau=0.2, x0=x0, dt=0.2 / 50, t_final=5.1)
+    cfg = sc.SimConfig(tau=0.2, x0=x0, dt=0.2 / 50, t_final=5.1)
     traj = sc.simulate(sys, cfg)
     ref = reference_delayed(sys, np.concatenate([x0, np.zeros(6)]), 50, 1275, 0.2 / 50)
     assert traj.states.shape == ref.shape
@@ -181,7 +207,7 @@ def test_integrator_order(demo6):
     x0 = rng.uniform(0, 1, 6)
 
     def end_state(divisor):
-        cfg = sc.SimConfig(epsilon=1.3, tau=0.2, x0=x0, dt=0.2 / divisor,
+        cfg = sc.SimConfig(tau=0.2, x0=x0, dt=0.2 / divisor,
                            t_final=5.0)
         return sc.simulate(sys, cfg).states[-1]
 
@@ -193,12 +219,12 @@ def test_integrator_order(demo6):
 
 def test_trajectory_csv_and_metadata(tmp_path, demo6):
     rng = np.random.RandomState(6)
-    cfg = sc.SimConfig(epsilon=1.3, tau=0.18, x0=rng.uniform(0, 1, 6), t_final=5.0)
+    cfg = sc.SimConfig(tau=0.18, x0=rng.uniform(0, 1, 6), t_final=5.0)
     traj = sc.simulate(sc.build_system(demo6, 1.3), cfg)
     csv_path = tmp_path / "traj.csv"
     meta_path = tmp_path / "traj.json"
     write_trajectory_csv(traj, str(csv_path))
-    write_metadata(traj, cfg, str(meta_path), seed=6)
+    write_metadata(traj, cfg, str(meta_path), {"seed": 6})
     header = csv_path.read_text().splitlines()[0]
     assert header == ("t,x1,x2,x3,x4,x5,x6,z1,z2,z3,z4,z5,z6,"
                       "consensus_error,conservation_drift")
@@ -211,7 +237,7 @@ def test_trajectory_csv_and_metadata(tmp_path, demo6):
 
 def converged_run(demo6):
     rng = np.random.RandomState(6)
-    cfg = sc.SimConfig(epsilon=1.3, tau=0.2, x0=rng.uniform(0, 1, 6), t_final=5.0)
+    cfg = sc.SimConfig(tau=0.2, x0=rng.uniform(0, 1, 6), t_final=5.0)
     return sc.simulate(sc.build_system(demo6, 1.3), cfg)
 
 
@@ -220,7 +246,7 @@ def overflowing_run(demo6, x0=None):
     # ends on the first row with an inf or a nan
     if x0 is None:
         x0 = 1e300 * np.random.RandomState(3).uniform(0, 1, 6)
-    cfg = sc.SimConfig(epsilon=1.1, tau=0.4, x0=x0, t_final=200.0,
+    cfg = sc.SimConfig(tau=0.4, x0=x0, t_final=200.0,
                        divergence_threshold=np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
         return sc.simulate(sc.build_system(demo6, 1.1), cfg)
@@ -286,7 +312,7 @@ def test_simulate_holds_one_trajectory_array(demo6):
     # 20,000 steps: the states are the only array that grows with the run
     rng = np.random.RandomState(2)
     sys = sc.build_system(demo6, 1.3)
-    cfg = sc.SimConfig(epsilon=1.3, tau=0.2, x0=rng.uniform(0, 1, 6), t_final=80.0)
+    cfg = sc.SimConfig(tau=0.2, x0=rng.uniform(0, 1, 6), t_final=80.0)
     tracemalloc.start()
     try:
         traj = sc.simulate(sys, cfg)
