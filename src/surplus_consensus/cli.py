@@ -279,7 +279,7 @@ def cmd_verify(args):
     for frac in (0.3, 0.8, 1.4):
         tau = frac * margin.tau_c
         root = delay_mod.rightmost_root(spec, tau).root
-        oracle = delay_mod.rightmost_root_oracle(spec, tau, 30)
+        oracle = delay_mod.rightmost_root_oracle(spec, tau)
         if abs(root.real - oracle.real) > 1e-6 or abs(abs(root.imag) - abs(oracle.imag)) > 1e-6:
             ok = False
     checks.append(("oracle_agreement", ok))

@@ -22,6 +22,8 @@ from .errors import (
 )
 
 LAMBERT_W_TOL = 1e-12
+LAMBERT_W_MAX_ITER = 100  # Halley steps per start point
+ORACLE_ORDER = 30  # Chebyshev collocation order: 31 x 31 scalar generators
 BISECTION_REL_TOL = 1e-9
 BISECTION_MAX_ITER = 200
 
@@ -60,7 +62,7 @@ class StabilityMap:
         return float(finite.max()) if finite.size else math.nan
 
 
-def lambert_w(z, k=0, max_iter=100):
+def lambert_w(z, k=0):
     """Branch k of the Lambert W function by Halley iteration.
 
     Returns w with |w e^w - z| <= LAMBERT_W_TOL * min(1, |z|) and unwinding number
@@ -87,10 +89,10 @@ def lambert_w(z, k=0, max_iter=100):
             stalled = False
             # the loop exits only after computing f for the current w, so the
             # residual checked is that of the w returned
-            for i in range(max_iter + 1):
+            for i in range(LAMBERT_W_MAX_ITER + 1):
                 ew = cmath.exp(w)
                 f = w * ew - z
-                if abs(f) <= bound or stalled or i == max_iter:
+                if abs(f) <= bound or stalled or i == LAMBERT_W_MAX_ITER:
                     break
                 wp1 = w + 1.0
                 step = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
@@ -226,24 +228,22 @@ def chebyshev_nodes_diff(order, span):
     return x, d
 
 
-def rightmost_root_oracle(spec, tau, discretization_order=30):
-    """Rightmost non-null root, Im >= 0, from a Chebyshev collocation of the delay
-    system's generator on [-tau, 0] (Breda, Maset & Vermiglio, 2005). It splits into
-    one scalar generator per eigenvalue, since det(sI - M e^{-s tau}) =
-    prod_i (s - lambda_i e^{-s tau}) for any M (Jarlebring & Damm, 2007)."""
+def rightmost_root_oracle(spec, tau):
+    """Rightmost non-null root, Im >= 0, from a Chebyshev collocation of order
+    ORACLE_ORDER of the delay system's generator on [-tau, 0] (Breda, Maset &
+    Vermiglio, 2005). It splits into one scalar generator per eigenvalue, since
+    det(sI - M e^{-s tau}) = prod_i (s - lambda_i e^{-s tau}) for any M
+    (Jarlebring & Damm, 2007)."""
     _require_positive_delay(tau)
-    if discretization_order < 10:
-        raise InvalidParameter("discretization order must be at least 10")
     lam = spec.nonnull
     lam = lam[lam.imag >= 0]  # M is real: a conjugate eigenvalue has the conjugate roots
     if lam.size == 0:
         raise PreconditionViolated("spectrum has no non-null eigenvalue")
-    order = int(discretization_order)
-    _, d = chebyshev_nodes_diff(order, tau)
-    gen = np.zeros((lam.size, order + 1, order + 1), dtype=complex)
+    _, d = chebyshev_nodes_diff(ORACLE_ORDER, tau)
+    gen = np.zeros((lam.size,) + d.shape, dtype=complex)
     # collocation rows: d/dtheta; boundary row: dy/dt = lambda_i y(-tau), on the last node
     gen[:, 1:, :] = d[1:]
-    gen[:, 0, order] = lam
+    gen[:, 0, -1] = lam
     try:
         roots = np.linalg.eigvals(gen).ravel()
     except np.linalg.LinAlgError as exc:

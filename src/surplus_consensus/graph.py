@@ -171,7 +171,8 @@ def load_adjacency_json(path):
         raise GraphFormatError("%s: expected object with fields 'n' and 'adjacency'" % path)
     n = doc["n"]
     rows = doc["adjacency"]
-    if not isinstance(n, int) or n < 1:
+    # bool is an int subclass, so JSON true and false would pass isinstance
+    if type(n) is not int or n < 1:
         raise GraphFormatError("%s: field 'n' must be a positive integer" % path)
     if not isinstance(rows, list) or len(rows) != n:
         raise GraphFormatError("%s: 'adjacency' must be a list of %d rows" % (path, n))
@@ -180,7 +181,7 @@ def load_adjacency_json(path):
         if not isinstance(row, list) or len(row) != n:
             raise GraphFormatError("%s: adjacency row %d must have %d entries" % (path, r + 1, n))
         for c, v in enumerate(row):
-            if v not in (0, 1):
+            if type(v) is not int or v not in (0, 1):
                 raise GraphFormatError(
                     "%s: adjacency[%d][%d] = %r is not in {0, 1}" % (path, r + 1, c + 1, v)
                 )

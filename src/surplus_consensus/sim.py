@@ -10,7 +10,7 @@ from . import _integrator
 from .errors import InvalidConfig
 
 CONSENSUS_TOLERANCE = 1e-4
-DEFAULT_DIVERGENCE_THRESHOLD = 1e6
+DIVERGENCE_THRESHOLD = 1e6
 # rows formatted per write: at n = 40, 64 rows keep the writer's own
 # allocations under 0.4 MB, against 12.8 MB of states in a 20,000-step run
 CSV_BLOCK_ROWS = 64
@@ -27,7 +27,6 @@ class SimConfig:
     z0: np.ndarray = None
     dt: float = None
     t_final: float = 40.0
-    divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD
 
     def resolved(self):
         """Fill defaults (z0 = 0, dt = tau/50 or 1e-2) and validate invariants.
@@ -37,15 +36,16 @@ class SimConfig:
             value = getattr(self, name)
             if value is not None and not np.isfinite(value):
                 raise InvalidConfig("%s must be finite, got %r" % (name, float(value)))
-        if not self.divergence_threshold > 0:
-            raise InvalidConfig("divergence_threshold must be positive, got %r"
-                                % (float(self.divergence_threshold),))
         x0 = np.asarray(self.x0, dtype=float)
         if x0.ndim != 1 or x0.size == 0:
             raise InvalidConfig("x0 must be a non-empty 1-D array, got shape %r" % (x0.shape,))
         z0 = np.zeros_like(x0) if self.z0 is None else np.asarray(self.z0, dtype=float)
         if z0.shape != x0.shape:
             raise InvalidConfig("x0 and z0 must have the same length")
+        for name, values in (("x0", x0), ("z0", z0)):
+            bad = values[~np.isfinite(values)]
+            if bad.size:
+                raise InvalidConfig("%s must be finite, got %r" % (name, float(bad[0])))
         dt = self.dt
         if dt is None:
             dt = self.tau / 50.0 if self.tau > 0 else 1e-2
@@ -95,7 +95,7 @@ def simulate(m, cfg):
     The run settles at the first sample from which the consensus error stays
     below CONSENSUS_TOLERANCE to the end, a NaN counting as above: that is
     convergence_time, None if the last sample is above. Verdict: 'diverged' when
-    any state exceeds the divergence threshold or turns non-finite; 'converged',
+    any state exceeds DIVERGENCE_THRESHOLD or turns non-finite; 'converged',
     at the window's end, when the settled stretch spans a window of 5% of
     t_final; otherwise 'inconclusive'.
     """
@@ -109,10 +109,10 @@ def simulate(m, cfg):
     mat = np.ascontiguousarray(m)
     if delay_steps > 0:
         states, last = _integrator.integrate_delayed(
-            mat, y0, delay_steps, nsteps, dt, cfg.divergence_threshold)
+            mat, y0, delay_steps, nsteps, dt, DIVERGENCE_THRESHOLD)
     else:
         states, last = _integrator.integrate_undelayed(
-            mat, y0, nsteps, dt, cfg.divergence_threshold)
+            mat, y0, nsteps, dt, DIVERGENCE_THRESHOLD)
     states = states[:last + 1]
     times = dt * np.arange(last + 1)
 
@@ -188,7 +188,7 @@ def write_metadata(traj, cfg, path, extra):
         "x0": list(x0),
         "z0": list(z0),
         "consensus_tolerance": CONSENSUS_TOLERANCE,
-        "divergence_threshold": cfg.divergence_threshold,
+        "divergence_threshold": DIVERGENCE_THRESHOLD,
         "verdict": traj.verdict,
         "decision_time": traj.decision_time,
         "consensus_target": traj.target,

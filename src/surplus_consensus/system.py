@@ -22,6 +22,8 @@ from .errors import (
 )
 
 NULL_TOLERANCE = 1e-9
+# the most negative entry and the largest residual norm a null vector may have
+NULL_VECTOR_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -57,16 +59,6 @@ class NullEigenvectors:
     nu_l_in: np.ndarray
     nu_r_out: np.ndarray
 
-    @property
-    def r2(self):
-        """Right null eigenvector [0; nu_r_out] of the eps=0 system matrix."""
-        return np.concatenate([np.zeros_like(self.nu_r_out), self.nu_r_out])
-
-    @property
-    def l2(self):
-        """Left null eigenvector [nu_l_in; 0] of the eps=0 system matrix."""
-        return np.concatenate([self.nu_l_in, np.zeros_like(self.nu_l_in)])
-
 
 def build_system(g, epsilon):
     require_non_negative("epsilon", [epsilon])
@@ -93,19 +85,19 @@ def spectrum(m):
     return Spectrum(eigenvalues=vals, null_count=int(np.sum(np.abs(vals) <= NULL_TOLERANCE)))
 
 
-def _null_vector(mat, residual_tol=1e-9):
+def _null_vector(mat):
     """Positive unit-1-norm right null vector of a matrix with a simple null eigenvalue."""
     vals, vecs = np.linalg.eig(mat)
     v = np.real(vecs[:, np.argmin(np.abs(vals))])
     v = v / v.sum()
-    if np.min(v) < -residual_tol:
+    if np.min(v) < -NULL_VECTOR_TOLERANCE:
         raise NumericalFailure(
             "null eigenvector has a negative entry beyond tolerance: %r" % (v,)
         )
     v = np.maximum(v, 0.0)
     v = v / v.sum()
-    if np.linalg.norm(mat @ v) > residual_tol:
-        raise NumericalFailure("null eigenvector residual exceeds %g" % residual_tol)
+    if np.linalg.norm(mat @ v) > NULL_VECTOR_TOLERANCE:
+        raise NumericalFailure("null eigenvector residual exceeds %g" % NULL_VECTOR_TOLERANCE)
     return v
 
 

@@ -262,7 +262,7 @@ def test_wrong_lambert_w_root_misses_the_oracle(demo6):
     tau_c = sc.tau_critical(spec).tau_c
     for frac in (0.3, 0.8, 1.4):
         tau = frac * tau_c
-        oracle = sc.rightmost_root_oracle(spec, tau, 30)
+        oracle = sc.rightmost_root_oracle(spec, tau)
 
         def gap(root):
             return max(abs(root.real - oracle.real), abs(abs(root.imag) - abs(oracle.imag)))

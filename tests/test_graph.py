@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import surplus_consensus as sc
+from surplus_consensus import cli
 
 DEMO_ADJACENCY = np.array([
     [0, 1, 0, 1, 0, 1],
@@ -147,6 +148,23 @@ def test_adjacency_json(tmp_path, two_node):
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"n": 2, "adjacency": [[0, 1], [1, 0]]}))
     assert sc.load_adjacency_json(str(path)) == two_node
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"n": True, "adjacency": [[0]]}, "field 'n' must be a positive integer"),
+    ({"n": 2.0, "adjacency": [[0, 1], [1, 0]]}, "field 'n' must be a positive integer"),
+    ({"n": 2, "adjacency": [[False, True], [1.0, 0]]}, "adjacency[1][1] = False is not in {0, 1}"),
+    ({"n": 2, "adjacency": [[0, 1], [1.0, 0]]}, "adjacency[2][1] = 1.0 is not in {0, 1}"),
+    ({"n": 2, "adjacency": [[0, True], [1, 0]]}, "adjacency[1][2] = True is not in {0, 1}"),
+], ids=["n-true", "n-float", "entries-bool", "entry-float", "entry-true"])
+def test_adjacency_json_takes_only_integers(tmp_path, doc, message):
+    # a JSON boolean or float equals 0 or 1 in Python, but is not an integer
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(sc.GraphFormatError) as info:
+        sc.load_adjacency_json(str(path))
+    assert str(info.value) == "%s: %s" % (path, message)
+    assert cli.main(["analyze", "--graph", str(path)]) == 2
 
 
 def test_adjacency_json_malformed(tmp_path):

@@ -7,8 +7,9 @@ import pytest
 import scipy.linalg
 
 import surplus_consensus as sc
-from surplus_consensus.sim import (CONSENSUS_TOLERANCE, CSV_BLOCK_ROWS, MAX_STATE_VALUES,
-                                   seeded_x0, write_metadata, write_trajectory_csv)
+from surplus_consensus.sim import (CONSENSUS_TOLERANCE, CSV_BLOCK_ROWS, DIVERGENCE_THRESHOLD,
+                                   MAX_STATE_VALUES, seeded_x0, write_metadata,
+                                   write_trajectory_csv)
 
 
 def test_equilibrium_is_stationary(demo6):
@@ -58,8 +59,8 @@ def test_beyond_margin_diverges(demo6):
     assert traj.convergence_time is None
     # the run ends on the first row over the threshold
     peak = np.abs(traj.states).max(axis=1)
-    assert peak[-1] > cfg.divergence_threshold
-    assert np.all(peak[:-1] <= cfg.divergence_threshold)
+    assert peak[-1] > DIVERGENCE_THRESHOLD
+    assert np.all(peak[:-1] <= DIVERGENCE_THRESHOLD)
 
 
 def test_start_within_tolerance_beyond_margin_is_not_converged(demo6):
@@ -121,16 +122,16 @@ def test_t_final_shorter_than_tau_rejected(demo6):
         sc.simulate(sc.build_system(demo6, 1.3), cfg)
 
 
-@pytest.mark.parametrize("threshold", [0.0, -1.0, np.nan])
-def test_divergence_threshold_not_positive_rejected(demo6, threshold):
-    # 0 or -1 would grade this converging run diverged at its first step, and
-    # nan, which no state exceeds, would never grade a run diverged
-    cfg = sc.SimConfig(tau=0.18, x0=seeded_x0(0, 6), divergence_threshold=threshold)
+@pytest.mark.parametrize("field", ["x0", "z0"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_initial_state_rejected(demo6, field, value):
+    # a non-finite x0 or z0 would give a non-finite target and a run graded diverged
+    start = {"x0": seeded_x0(0, 6), "z0": np.zeros(6)}
+    start[field][2] = value
+    cfg = sc.SimConfig(tau=0.18, **start)
     with pytest.raises(sc.InvalidConfig) as info:
         sc.simulate(sc.build_system(demo6, 1.3), cfg)
-    assert str(info.value) == "divergence_threshold must be positive, got %r" % threshold
-    # inf, no threshold at all, is valid
-    sc.SimConfig(tau=0.18, x0=np.ones(6), divergence_threshold=np.inf).resolved()
+    assert str(info.value) == "%s must be finite, got %r" % (field, value)
 
 
 def test_x0_not_one_dimensional_rejected(demo6):
@@ -241,15 +242,24 @@ def converged_run(demo6):
     return sc.simulate(sc.build_system(demo6, 1.3), cfg)
 
 
-def overflowing_run(demo6, x0=None):
-    # beyond the margin (tau_c = 0.206) with no divergence threshold: the run
-    # ends on the first row with an inf or a nan
-    if x0 is None:
-        x0 = 1e300 * np.random.RandomState(3).uniform(0, 1, 6)
-    cfg = sc.SimConfig(tau=0.4, x0=x0, t_final=200.0,
-                       divergence_threshold=np.inf)
+def overflowing_run(m, x0, z0=None):
+    # the first step overflows: the run ends on that row, with an inf or a nan
+    cfg = sc.SimConfig(tau=0.4, x0=x0, z0=z0, t_final=200.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        return sc.simulate(sc.build_system(demo6, 1.1), cfg)
+        return sc.simulate(m, cfg)
+
+
+def overflowing_trajectory(rows):
+    # built by hand: the states grow by e^0.65 a row and overflow to +-inf
+    # from row 1092 on, where the drift inf - inf is nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = np.outer(np.exp(0.65 * np.arange(rows)), [1.0, -1.0] * 6)
+        err = np.abs(states[:, :6]).max(axis=1)
+        drift = np.abs(states.sum(axis=1))
+    return sc.Trajectory(times=0.008 * np.arange(rows), states=states,
+                         consensus_error=err, conservation_drift=drift,
+                         verdict="diverged", decision_time=0.008 * (rows - 1),
+                         convergence_time=None, target=0.0, t_final=200.0)
 
 
 def savetxt_reference(traj, path):
@@ -280,9 +290,8 @@ def test_trajectory_csv_matches_savetxt(tmp_path, demo6, rows):
     assert written.count(b"\n") == rows + 1
 
 
-def test_trajectory_csv_matches_savetxt_on_overflow(tmp_path, demo6):
-    traj = overflowing_run(demo6)
-    assert traj.verdict == "diverged" and traj.times.size > 1025
+def test_trajectory_csv_matches_savetxt_on_overflow(tmp_path):
+    traj = overflowing_trajectory(1100)
     write_trajectory_csv(traj, str(tmp_path / "blocks.csv"))
     savetxt_reference(traj, str(tmp_path / "ref.csv"))
     written = (tmp_path / "blocks.csv").read_bytes()
@@ -296,10 +305,13 @@ def test_consensus_error_is_max_abs_deviation(demo6, run):
     if run == "converged":
         traj = converged_run(demo6)
     elif run == "overflow":
-        traj = overflowing_run(demo6)
+        # M(1e308) y0 is +-1e308 in every entry, and six times that is inf
+        traj = overflowing_run(sc.build_system(demo6, 1e308), np.ones(6), np.ones(6))
+        assert np.all(np.isinf(traj.states[-1]))
+        assert traj.consensus_error[-1] == np.inf and np.isnan(traj.conservation_drift[-1])
     else:
         # M y0 overflows to inf - inf at the first step
-        traj = overflowing_run(demo6, 1e308 * np.array([1.0, -1.0] * 3))
+        traj = overflowing_run(sc.build_system(demo6, 1.1), 1e308 * np.array([1.0, -1.0] * 3))
         assert np.isnan(traj.consensus_error[-1])
         # a NaN error counts as above the tolerance
         assert traj.convergence_time is None

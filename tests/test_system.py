@@ -107,10 +107,11 @@ def test_null_eigenvectors_demo(demo6):
     assert np.linalg.norm(nev.nu_l_in @ lap.l_in) <= 1e-9
     assert np.linalg.norm(lap.l_out @ nev.nu_r_out) <= 1e-9
     assert nev.nu_l_in @ nev.nu_r_out > 0
-    # derived eigenvector pair embeddings
+    # the second null pair of M(0): right [0; nu_r_out], left [nu_l_in; 0]
     m0 = sc.build_system(demo6, 0.0)
-    assert np.linalg.norm(m0 @ nev.r2) <= 1e-9
-    assert np.linalg.norm(nev.l2 @ m0) <= 1e-9
+    zeros = np.zeros(6)
+    assert np.linalg.norm(m0 @ np.concatenate([zeros, nev.nu_r_out])) <= 1e-9
+    assert np.linalg.norm(np.concatenate([nev.nu_l_in, zeros]) @ m0) <= 1e-9
 
 
 def test_null_eigenvectors_precondition():
