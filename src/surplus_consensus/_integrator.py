@@ -1,68 +1,59 @@
-"""Fixed-step method-of-steps kernels for y'(t) = M y(t - tau), in numpy.
+"""Fixed-step method-of-steps kernel for y'(t) = M y(t - tau), in numpy.
 
 The right-hand side reads only the delayed state, so every step in a window
 [s, s + d), d = tau/dt, depends on stored nodes at or before s alone (Bellen
 and Zennaro, Numerical Methods for Delay Differential Equations, 2003). A
-whole window is therefore two matrix products and one cumulative sum. The
-derivatives at the d + 1 nodes a window reads are carried from one window to
-the next as a single block, so the states are the only array that grows with
-the run.
+whole window is therefore two matrix products and one cumulative sum, and it
+reads nothing older than the window before it. The kernel holds those two
+windows and the derivatives at the d + 1 nodes a window reads, and hands each
+window's rows to its caller, so nothing it holds grows with the run.
 """
 
 import numpy as np
 
 
-def integrate_delayed(mat, y0, delay_steps, nsteps, dt, blow_threshold):
+def integrate_delayed(mat, y0, delay_steps, nsteps, dt, blow_threshold, emit):
     """Integrate y' = mat @ y(t - delay_steps*dt) from constant history y0.
 
     Classical 4th-order one-step scheme; since the right-hand side depends only
     on the delayed state, each step reduces to Simpson quadrature with the
     midpoint value obtained by cubic Hermite interpolation of the stored
-    history. Returns (states, last_valid_index); the run stops early when any
-    |state| exceeds blow_threshold or turns non-finite, and rows after
-    last_valid_index are not meaningful.
+    history. The rows of the trajectory go to emit(start, rows) in order, row
+    0 = y0 first, then each window's new rows as soon as the window is
+    integrated; start is the index of rows[0], and rows a view that the next
+    window overwrites. The run stops after the first row with an |entry| over
+    blow_threshold or a non-finite one.
+    Returns (block, last): the last window, ending at row last, the index of
+    the last row emitted.
     """
     d = delay_steps
-    # d leading rows hold the constant history, so row j is time (j - d) * dt
-    # and every midpoint before t = 0 is exactly y0
-    states = np.empty((d + nsteps + 1, y0.shape[0]))
-    states[:d + 1] = y0
-    # derivatives at rows s..s+d, where row j's is mat @ states[j - d]; carried
-    # from one window to the next instead of stored for the whole run
+    # the window a step reads (rows s-d..s of the trajectory, the constant
+    # history before t = 0) and the window it writes (rows s..s+d)
+    prev = np.tile(y0, (d + 1, 1))
+    cur = np.empty_like(prev)
+    # the derivatives at the rows s-d..s a window reads, where row j's is
+    # mat @ (row j - d); carried from one window to the next
     f = np.tile(mat @ y0, (d + 1, 1))
+    emit(0, prev[d:])
     for s in range(0, nsteps, d):
-        e = min(s + d, nsteps)
-        # steps s..e-1 read the delayed nodes s..e, all at or before step s
-        ymid = (0.5 * (states[s:e] + states[s + 1:e + 1])
-                + (dt / 8.0) * (f[:e - s] - f[1:e - s + 1]))
-        # rows s+d..e+d; row s+d closed the previous block
-        f = np.concatenate([f[-1:], states[s + 1:e + 1] @ mat.T])
+        w = min(d, nsteps - s)
+        # steps s..s+w-1 read the delayed nodes s-d..s-d+w, all at or before step s
+        ymid = (0.5 * (prev[:w] + prev[1:w + 1])
+                + (dt / 8.0) * (f[:w] - f[1:w + 1]))
+        # the derivatives at rows s..s+w; row s's closed the previous block
+        f = np.concatenate([f[-1:], prev[1:w + 1] @ mat.T])
         # k1 of each step is the k4 of the step before it
-        states[s + d + 1:e + d + 1] = (dt / 6.0) * (f[:-1] + 4.0 * (ymid @ mat.T) + f[1:])
-        window = states[s + d:e + d + 1]
+        cur[0] = prev[d]
+        cur[1:w + 1] = (dt / 6.0) * (f[:-1] + 4.0 * (ymid @ mat.T) + f[1:])
+        window = cur[:w + 1]
         np.cumsum(window, axis=0, out=window)
         bad = _first_bad_row(window[1:], blow_threshold)
         if bad is not None:
-            return states[d:], s + 1 + bad
-    return states[d:], nsteps
-
-
-def integrate_undelayed(mat, y0, nsteps, dt, blow_threshold):
-    """Classical RK4 for y' = mat @ y (the tau = 0 reduction).
-
-    For a linear right-hand side one RK4 step is y <- P y with the fixed
-    polynomial P = I + hM (I + hM/2 (I + hM/3 (I + hM/4))).
-    """
-    hm = dt * mat
-    eye = np.eye(mat.shape[0])
-    step = eye + hm @ (eye + hm @ (eye + hm @ (eye + hm / 4.0) / 3.0) / 2.0)
-    states = np.empty((nsteps + 1, y0.shape[0]))
-    states[0] = y0
-    for s in range(nsteps):
-        states[s + 1] = step @ states[s]
-        if _first_bad_row(states[s + 1:s + 2], blow_threshold) is not None:
-            return states, s + 1
-    return states, nsteps
+            emit(s + 1, window[1:bad + 2])
+            return window[:bad + 2], s + 1 + bad
+        emit(s + 1, window[1:])
+        prev, cur = cur, prev
+    return prev[:w + 1], nsteps
 
 
 def _first_bad_row(rows, blow_threshold):

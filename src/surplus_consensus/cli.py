@@ -21,6 +21,7 @@ from .errors import (
     InvalidConfig,
     InvalidParameter,
     NotStronglyConnected,
+    require_non_negative,
 )
 
 EXIT_OK = 0
@@ -85,9 +86,22 @@ def parse_seed(text):
 
 
 def load_graph(path):
-    if path.endswith(".json"):
-        return graph_mod.load_adjacency_json(path)
-    return graph_mod.load_edge_list(path)
+    """Load --graph; a file that cannot be read is bad graph input (exit 2)."""
+    try:
+        if path.endswith(".json"):
+            return graph_mod.load_adjacency_json(path)
+        return graph_mod.load_edge_list(path)
+    except OSError as exc:
+        raise GraphFormatError(str(exc)) from exc
+
+
+def _make_out_dir(path):
+    """Create the --out directory once the inputs have validated and before
+    any work; a path that cannot be a directory is a usage error (exit 4)."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise InvalidParameter("cannot create --out %r: %s" % (path, exc.strerror)) from exc
 
 
 def _summary(pairs):
@@ -101,6 +115,9 @@ def _fmt(x):
 def cmd_analyze(args):
     g = load_graph(args.graph)
     graph_mod.require_strongly_connected(g)
+    m = None if args.eps is None else system_mod.build_system(g, args.eps)
+    if args.out:
+        _make_out_dir(args.out)
     prof = graph_mod.degree_profile(g)
     spec0 = system_mod.spectrum(system_mod.build_system(g, 0.0))
     lam3 = spec0.rightmost_nonnull
@@ -133,8 +150,8 @@ def cmd_analyze(args):
         ("lambda2_slope", _fmt(slope)),
         ("tau_tilde", _fmt(tilde)),
     ]
-    if args.eps is not None:
-        spec = system_mod.spectrum(system_mod.build_system(g, args.eps))
+    if m is not None:
+        spec = system_mod.spectrum(m)
         margin = delay_mod.tau_critical(spec)
         lines.append("eigenvalues of M(%g):" % args.eps)
         lines += ["  %s" % _fmt_complex(v) for v in spec.eigenvalues]
@@ -150,7 +167,6 @@ def cmd_analyze(args):
     report = "\n".join(lines) + "\n"
     print(report, file=sys.stderr)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "analyze.txt"), "w") as fh:
             fh.write(report)
     _summary(summary)
@@ -166,10 +182,15 @@ def cmd_simulate(args):
     graph_mod.require_strongly_connected(g)
     x0 = sim_mod.seeded_x0(args.seed, g.n)
     cfg = sim_mod.SimConfig(tau=args.tau, x0=x0, dt=args.dt, t_final=args.t_final)
-    traj = sim_mod.simulate(system_mod.build_system(g, args.eps), cfg)
+    m = system_mod.build_system(g, args.eps)
+    csv_path = None
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        sim_mod.write_trajectory_csv(traj, os.path.join(args.out, "trajectory.csv"))
+        cfg.resolved()  # a config that does not validate exits 4 before --out exists
+        _make_out_dir(args.out)
+        # simulate writes the rows as it integrates them, and holds no states array
+        csv_path = os.path.join(args.out, "trajectory.csv")
+    traj = sim_mod.simulate(m, cfg, csv_path)
+    if args.out:
         sim_mod.write_metadata(traj, cfg, os.path.join(args.out, "trajectory.json"),
                                {"epsilon": args.eps, "graph": args.graph, "seed": args.seed})
     conv = traj.convergence_time
@@ -211,13 +232,14 @@ def cmd_sweep(args):
         raise InvalidParameter("the sweep grid has more than %d cells" % MAX_GRID_POINTS)
     g = load_graph(args.graph)
     graph_mod.require_strongly_connected(g)
+    require_non_negative("epsilon", eps_grid)
+    require_non_negative("tau", tau_grid)
+    _make_out_dir(args.out)
     path = os.path.join(args.out, csv_name)
     summary = [("command", "sweep"), ("mode", args.mode)]
 
-    # the library rejects a negative eps or tau (exit 4) before --out exists
     if args.mode == "tau_c":
         records = delay_mod.sweep_tau_c(g, eps_grid)
-        os.makedirs(args.out, exist_ok=True)
         rows, finite, failures = [], [], []
         for eps, margin, err in records:
             if margin is None:
@@ -234,7 +256,6 @@ def cmd_sweep(args):
         summary += [("argmax_eps", _fmt(best[1])), ("max_tau_c", _fmt(best[0]))]
     else:
         smap = delay_mod.stability_map(g, eps_grid, tau_grid)
-        os.makedirs(args.out, exist_ok=True)
         failures = [(_fmt(smap.eps_grid[a]), _fmt(smap.tau_grid[b]), reason)
                     for a, b, reason in smap.failures]
         rows = []
@@ -356,7 +377,7 @@ def main(argv=None):
         return EXIT_BAD_CONFIG if exc.code == 2 else exc.code
     try:
         return args.func(args)
-    except (GraphFormatError, FileNotFoundError) as exc:
+    except GraphFormatError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BAD_GRAPH
     except (InvalidConfig, InvalidParameter) as exc:

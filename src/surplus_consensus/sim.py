@@ -1,5 +1,6 @@
 """Simulation of the delayed network dynamics with consensus metrics."""
 
+import contextlib
 import json
 import random
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ class SimConfig:
     t_final: float = 40.0
 
     def resolved(self):
-        """Fill defaults (z0 = 0, dt = tau/50 or 1e-2) and validate invariants.
+        """Fill defaults (z0 = 0, dt = tau/50) and validate invariants.
 
         Returns (x0, z0, dt, delay_steps, nsteps), nsteps = round(t_final/dt)."""
         for name in ("tau", "dt", "t_final"):
@@ -46,13 +47,12 @@ class SimConfig:
             bad = values[~np.isfinite(values)]
             if bad.size:
                 raise InvalidConfig("%s must be finite, got %r" % (name, float(bad[0])))
-        dt = self.dt
-        if dt is None:
-            dt = self.tau / 50.0 if self.tau > 0 else 1e-2
+        # tau = 0 is y' = My, which the spectrum of M answers exactly
+        if self.tau <= 0:
+            raise InvalidConfig("tau must be positive, got %r" % (self.tau,))
+        dt = self.tau / 50.0 if self.dt is None else self.dt
         if dt <= 0:
             raise InvalidConfig("dt must be positive, got %r" % (dt,))
-        if self.tau < 0:
-            raise InvalidConfig("tau must be non-negative, got %r" % (self.tau,))
         if self.t_final <= 0 or self.t_final < self.tau:
             raise InvalidConfig("t_final must be positive and at least tau")
         # (delay_steps + nsteps + 1) x 2n values, counted in floats so that a
@@ -63,23 +63,21 @@ class SimConfig:
         nsteps = int(round(self.t_final / dt))
         if nsteps < 1:
             raise InvalidConfig("t_final must be at least one step dt")
-        delay_steps = 0
-        if self.tau > 0:
-            ratio = self.tau / dt
-            delay_steps = int(round(ratio))
-            if abs(ratio - delay_steps) > 1e-9 * max(1.0, ratio):
-                raise InvalidConfig(
-                    "tau/dt = %r must be an integer for history alignment" % (ratio,)
-                )
-            if delay_steps < 10:
-                raise InvalidConfig("tau/dt must be at least 10, got %d" % delay_steps)
+        ratio = self.tau / dt
+        delay_steps = int(round(ratio))
+        if abs(ratio - delay_steps) > 1e-9 * max(1.0, ratio):
+            raise InvalidConfig(
+                "tau/dt = %r must be an integer for history alignment" % (ratio,)
+            )
+        if delay_steps < 10:
+            raise InvalidConfig("tau/dt must be at least 10, got %d" % delay_steps)
         return x0, z0, float(dt), delay_steps, nsteps
 
 
 @dataclass(frozen=True)
 class Trajectory:
     times: np.ndarray
-    states: np.ndarray
+    states: np.ndarray  # None when simulate streamed the rows to a CSV file
     consensus_error: np.ndarray
     conservation_drift: np.ndarray
     verdict: str
@@ -89,7 +87,7 @@ class Trajectory:
     t_final: float  # the horizon integrated, nsteps * dt with nsteps = round(t_final / dt)
 
 
-def simulate(m, cfg):
+def simulate(m, cfg, csv_path=None):
     """Integrate the delayed dynamics and grade the run.
 
     The run settles at the first sample from which the consensus error stays
@@ -98,6 +96,10 @@ def simulate(m, cfg):
     any state exceeds DIVERGENCE_THRESHOLD or turns non-finite; 'converged',
     at the window's end, when the settled stretch spans a window of 5% of
     t_final; otherwise 'inconclusive'.
+
+    With csv_path, the trajectory CSV (see write_trajectory_csv) is written
+    there one delay window at a time as the run goes, and the returned states
+    are None; otherwise the states are one (samples x 2n) array.
     """
     x0, z0, dt, delay_steps, nsteps = cfg.resolved()
     n = x0.size
@@ -106,25 +108,38 @@ def simulate(m, cfg):
                             % (m.shape[0], 2 * n))
     target = float((x0.sum() + z0.sum()) / n)  # the invariant (1'x0 + 1'z0) / n
     y0 = np.ascontiguousarray(np.concatenate([x0, z0]))
-    mat = np.ascontiguousarray(m)
-    if delay_steps > 0:
-        states, last = _integrator.integrate_delayed(
-            mat, y0, delay_steps, nsteps, dt, DIVERGENCE_THRESHOLD)
-    else:
-        states, last = _integrator.integrate_undelayed(
-            mat, y0, nsteps, dt, DIVERGENCE_THRESHOLD)
-    states = states[:last + 1]
-    times = dt * np.arange(last + 1)
-
-    # max |x - target| without an n-column temporary: rounding is monotone and
-    # fl(a - b) = -fl(b - a), so this is exact, NaN and inf included
-    x = states[:, :n]
-    err = np.maximum(x.max(axis=1) - target, target - x.min(axis=1))
     total0 = y0.sum()
-    drift = np.abs(states.sum(axis=1) - total0)
+    mat = np.ascontiguousarray(m)
+    # the per-sample arrays, filled a block of rows at a time
+    times, err, drift = np.empty(nsteps + 1), np.empty(nsteps + 1), np.empty(nsteps + 1)
+    states = None if csv_path is not None else np.empty((nsteps + 1, 2 * n))
 
-    above = np.flatnonzero(~(err < CONSENSUS_TOLERANCE))
-    settle = above[-1] + 1 if above.size else 0
+    def take(start, rows):
+        k = slice(start, start + rows.shape[0])
+        times[k] = dt * np.arange(k.start, k.stop)
+        # max |x - target| without an n-column temporary: rounding is monotone
+        # and fl(a - b) = -fl(b - a), so this is exact, NaN and inf included
+        x = rows[:, :n]
+        err[k] = np.maximum(x.max(axis=1) - target, target - x.min(axis=1))
+        drift[k] = np.abs(rows.sum(axis=1) - total0)
+        if states is None:
+            _write_rows(fh, times[k], rows, err[k], drift[k])
+        else:
+            states[k] = rows
+
+    with (open(csv_path, "w") if csv_path is not None else contextlib.nullcontext()) as fh:
+        if fh is not None:
+            fh.write(_csv_header(n))
+        _, last = _integrator.integrate_delayed(
+            mat, y0, delay_steps, nsteps, dt, DIVERGENCE_THRESHOLD, take)
+    if states is not None:
+        states = states[:last + 1]
+    times, err, drift = times[:last + 1], err[:last + 1], drift[:last + 1]
+
+    # one past the last sample not below the tolerance, by the first one from
+    # the end, without an index array as long as the run
+    below = err < CONSENSUS_TOLERANCE
+    settle = 0 if below.all() else last + 1 - int(np.argmin(below[::-1]))
     window = max(1, int(round(0.05 * cfg.t_final / dt)))
     verdict, decision_time = "inconclusive", times[-1]
     if last < nsteps:
@@ -158,23 +173,31 @@ def seeded_x0(seed, n):
     return np.array([rng.random() for _ in range(n)])
 
 
+def _csv_header(n):
+    return ",".join(["t"] + ["x%d" % i for i in range(1, n + 1)]
+                    + ["z%d" % i for i in range(1, n + 1)]
+                    + ["consensus_error", "conservation_drift"]) + "\n"
+
+
+def _write_rows(fh, times, states, err, drift):
+    """Write one CSV row per sample, t, x, z, error and drift, each formatted
+    "%.17g": the bytes of np.savetxt, formatted CSV_BLOCK_ROWS rows at a time
+    so that no copy of the rows given is built."""
+    row_fmt = ",".join(["%.17g"] * (states.shape[1] + 3)) + "\n"
+    for i in range(0, times.size, CSV_BLOCK_ROWS):
+        rows = slice(i, i + CSV_BLOCK_ROWS)
+        block = np.hstack([times[rows, None], states[rows], err[rows, None],
+                           drift[rows, None]])
+        fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
 def write_trajectory_csv(traj, path):
-    """One row per sample, t, x, z, error and drift, each formatted "%.17g":
-    the bytes of np.savetxt on the full table, written CSV_BLOCK_ROWS rows at
-    a time so that no copy of the trajectory is built."""
-    n = traj.states.shape[1] // 2
-    header = (["t"] + ["x%d" % i for i in range(1, n + 1)]
-              + ["z%d" % i for i in range(1, n + 1)]
-              + ["consensus_error", "conservation_drift"])
-    row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
+    """Write the trajectory CSV of an in-memory run: a header line, then one
+    row per sample, t, x, z, error and drift, each formatted "%.17g"."""
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(0, traj.times.size, CSV_BLOCK_ROWS):
-            rows = slice(i, i + CSV_BLOCK_ROWS)
-            block = np.hstack([traj.times[rows, None], traj.states[rows],
-                               traj.consensus_error[rows, None],
-                               traj.conservation_drift[rows, None]])
-            fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
+        fh.write(_csv_header(traj.states.shape[1] // 2))
+        _write_rows(fh, traj.times, traj.states, traj.consensus_error,
+                    traj.conservation_drift)
 
 
 def write_metadata(traj, cfg, path, extra):

@@ -63,6 +63,7 @@ def test_analyze_bad_file(tmp_path, capsys):
     path.write_text("garbage\n")
     assert run(["analyze", "--graph", str(path)]) == 2
     assert run(["analyze", "--graph", str(tmp_path / "missing.edges")]) == 2
+    assert run(["analyze", "--graph", str(tmp_path)]) == 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -157,23 +158,48 @@ def test_non_finite_value_is_a_usage_error(tmp_path, capsys, argv, message):
 
 
 @pytest.mark.parametrize("argv,message", [
-    # round(0.001 / 0.01) = 0 steps of the default dt
-    (["--tau", "0", "--t-final", "0.001"], "t_final must be at least one step dt"),
+    # round(0.001 / 1) = 0 steps of dt
+    (["--tau", "0.001", "--dt", "1", "--t-final", "0.001"],
+     "t_final must be at least one step dt"),
     # (1e7 + 4e8 + 1) x 12 values, 36.7 GiB
     (["--tau", "1", "--dt", "1e-7", "--t-final", "40"],
      "the run would hold more than 100000000 state values; raise dt or shorten t_final"),
-], ids=["zero-steps", "over-the-cap"])
+    # y' = My: the spectrum answers it, and no kernel integrates it
+    (["--tau", "0"], "tau must be positive, got 0.0"),
+], ids=["zero-steps", "over-the-cap", "tau-zero"])
 def test_simulate_grid_out_of_bounds_is_a_usage_error(tmp_path, capsys, monkeypatch,
                                                       argv, message):
     def refuse(*args):
         raise AssertionError("integrated a run the config check should refuse")
     monkeypatch.setattr(cli.sim_mod._integrator, "integrate_delayed", refuse)
-    monkeypatch.setattr(cli.sim_mod._integrator, "integrate_undelayed", refuse)
     out = tmp_path / "out"
     assert run(["simulate", "--graph", sc.demo_graph_path(), "--eps", "1.1",
                 "--out", str(out)] + argv) == 4
     assert capsys.readouterr().err == "error: %s\n" % message
     assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["existing-file", "under-a-file"])
+@pytest.mark.parametrize("argv,work", [
+    (["analyze", "--eps", "1.1"], (cli.system_mod, "spectrum")),
+    (["simulate", "--eps", "1.1", "--tau", "0.1"],
+     (cli.sim_mod._integrator, "integrate_delayed")),
+    (["sweep", "--mode", "two_d", "--eps-range", "0.9:0.2:1.1", "--tau-range", "0:0.1:0.1"],
+     (cli.delay_mod, "stability_map")),
+], ids=["analyze", "simulate", "sweep"])
+def test_unusable_out_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, work, where):
+    # an --out that cannot be a directory exited 6 (FileExistsError), after the
+    # whole scan in sweep, or 2, the malformed-graph code (FileNotFoundError)
+    def refuse(*args):
+        raise AssertionError("worked before finding --out unusable")
+    monkeypatch.setattr(*work, refuse)
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    out = blocker if where == "existing-file" else blocker / "out"
+    assert run(argv + ["--graph", sc.demo_graph_path(), "--out", str(out)]) == 4
+    reason = "File exists" if where == "existing-file" else "Not a directory"
+    assert capsys.readouterr().err == "error: cannot create --out %r: %s\n" % (str(out), reason)
+    assert blocker.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("mode,ranges,message", [

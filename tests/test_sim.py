@@ -4,7 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import surplus_consensus as sc
 from surplus_consensus.sim import (CONSENSUS_TOLERANCE, CSV_BLOCK_ROWS, DIVERGENCE_THRESHOLD,
@@ -23,9 +22,11 @@ def test_equilibrium_is_stationary(demo6):
     window = int(round(0.05 * cfg.t_final / (cfg.tau / 50)))
     assert traj.convergence_time == traj.times[0] == 0.0
     assert traj.decision_time == traj.times[0 + window]
-    # the shortest run, one step: settled from sample 0 with a window of one step
-    cfg = sc.SimConfig(tau=0.0, x0=3.7 * np.ones(6), t_final=1e-2)
+    # the shortest run, one delay of tau/dt = 10 steps: settled from sample 0
+    # with a window of one step, 5% of 10 steps rounded
+    cfg = sc.SimConfig(tau=0.1, x0=3.7 * np.ones(6), dt=1e-2, t_final=0.1)
     traj = sc.simulate(sys, cfg)
+    assert traj.times.size == 11
     assert (traj.verdict, traj.convergence_time, traj.decision_time) == ("converged", 0.0, 1e-2)
 
 
@@ -78,12 +79,12 @@ def test_start_within_tolerance_beyond_margin_is_not_converged(demo6):
 
 
 def test_consensus_target(three_cycle):
-    # (1'x0 + 1'z0) / n, on one-step runs without delay
+    # (1'x0 + 1'z0) / n, on the shortest runs, one delay of 10 steps
     m = sc.build_system(three_cycle, 1.0)
-    cfg = sc.SimConfig(tau=0.0, x0=np.array([1.0, 2.0, 3.0]), t_final=1e-2)
+    cfg = sc.SimConfig(tau=0.1, x0=np.array([1.0, 2.0, 3.0]), dt=1e-2, t_final=0.1)
     assert sc.simulate(m, cfg).target == 2.0
-    cfg = sc.SimConfig(tau=0.0, x0=np.array([1.0, 2.0, 3.0]),
-                       z0=np.array([3.0, 0.0, 0.0]), t_final=1e-2)
+    cfg = sc.SimConfig(tau=0.1, x0=np.array([1.0, 2.0, 3.0]),
+                       z0=np.array([3.0, 0.0, 0.0]), dt=1e-2, t_final=0.1)
     assert sc.simulate(m, cfg).target == 3.0
 
 
@@ -141,35 +142,25 @@ def test_x0_not_one_dimensional_rejected(demo6):
         sc.simulate(sc.build_system(demo6, 1.3), cfg)
     assert str(info.value) == "x0 must be a non-empty 1-D array, got shape (2, 3)"
     # no agents: the 0 x 0 system matches, and the target would be 0 / 0
-    cfg = sc.SimConfig(tau=0.0, x0=np.ones(0), t_final=1.0)
+    cfg = sc.SimConfig(tau=0.1, x0=np.ones(0), t_final=1.0)
     with pytest.raises(sc.InvalidConfig, match=r"got shape \(0,\)"):
         sc.simulate(np.zeros((0, 0)), cfg)
 
 
 def test_states_over_the_cap_rejected_before_allocating():
     # rows = delay_steps + nsteps + 1 of 2n = 12 values; the cap allows
-    # 8,333,333 rows, and resolved() allocates no states either way
+    # 8,333,333 rows, and resolved() allocates no states either way; tau = 1
+    # and dt = 1/16 are exact in binary, so the counts are too
     cap_rows = MAX_STATE_VALUES // 12
-    ok = sc.SimConfig(tau=0.0, x0=np.ones(6), t_final=(cap_rows - 1) * 1e-2)
-    assert ok.resolved()[4] == cap_rows - 1
-    over = sc.SimConfig(tau=0.0, x0=np.ones(6), t_final=cap_rows * 1e-2)
+    ok = sc.SimConfig(tau=1.0, x0=np.ones(6), dt=0.0625, t_final=(cap_rows - 17) * 0.0625)
+    assert ok.resolved()[3:] == (16, cap_rows - 17)
+    over = sc.SimConfig(tau=1.0, x0=np.ones(6), dt=0.0625, t_final=(cap_rows - 16) * 0.0625)
     with pytest.raises(sc.InvalidConfig, match="more than 100000000 state values"):
         over.resolved()
     # a step so small that the step count overflows a float
     tiny = sc.SimConfig(tau=1.0, x0=np.ones(6), dt=1e-310, t_final=40.0)
     with pytest.raises(sc.InvalidConfig, match="state values"):
         tiny.resolved()
-
-
-def test_tau_zero_matches_expm(demo6):
-    rng = np.random.RandomState(4)
-    x0 = rng.uniform(0, 1, 6)
-    sys = sc.build_system(demo6, 1.3)
-    cfg = sc.SimConfig(tau=0.0, x0=x0, dt=1e-2, t_final=1.0)
-    traj = sc.simulate(sys, cfg)
-    y0 = np.concatenate([x0, np.zeros(6)])
-    ref = scipy.linalg.expm(sys) @ y0
-    assert np.max(np.abs(traj.states[-1] - ref)) <= 1e-8
 
 
 def reference_delayed(mat, y0, delay_steps, nsteps, dt):
@@ -335,22 +326,95 @@ def test_simulate_holds_one_trajectory_array(demo6):
     assert peak <= 2 * traj.states.nbytes
 
 
-def test_csv_writer_holds_a_small_block(tmp_path):
-    # 20,001 rows at n = 40, the size of a 20,000-step run: the writer's own
-    # allocations stay a small fraction of the trajectory it formats
-    rows, n = 20001, 40
-    rng = np.random.RandomState(1)
-    traj = sc.Trajectory(times=0.002 * np.arange(rows), states=rng.uniform(0, 1, (rows, 2 * n)),
-                         consensus_error=rng.uniform(0, 1, rows),
-                         conservation_drift=rng.uniform(0, 1e-14, rows), verdict="converged",
-                         decision_time=40.0, convergence_time=38.0, target=0.5, t_final=40.0)
+def traced_peak(fn):
     tracemalloc.start()
     try:
-        write_trajectory_csv(traj, str(tmp_path / "traj.csv"))
+        result = fn()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= traj.states.nbytes / 16
+    return result, peak
+
+
+def test_csv_writer_holds_a_small_block(tmp_path):
+    # the writer's own allocations do not grow with the rows it formats: equal
+    # peaks at 1,025 and 4,097 rows of n = 40, to the spread of the text's
+    # length, and under the 0.4 MB the README states
+    def writer_peak(rows, n=40):
+        rng = np.random.RandomState(1)
+        traj = sc.Trajectory(times=0.002 * np.arange(rows),
+                             states=rng.uniform(0, 1, (rows, 2 * n)),
+                             consensus_error=rng.uniform(0, 1, rows),
+                             conservation_drift=rng.uniform(0, 1e-14, rows),
+                             verdict="converged", decision_time=40.0,
+                             convergence_time=38.0, target=0.5, t_final=40.0)
+        return traced_peak(lambda: write_trajectory_csv(traj, str(tmp_path / "traj.csv")))[1]
+
+    short, long = writer_peak(1025), writer_peak(4097)
+    assert abs(long - short) <= 0.05 * short
+    assert long <= 400_000
+
+
+STREAMED_RUNS = {
+    # 11,111 steps: 222 full windows of 50 and a partial one of 11
+    "converged": (1.3, dict(tau=0.18, x0=np.random.RandomState(42).uniform(0, 1, 6),
+                            t_final=40.0)),
+    # past tau_c = 0.206: over the threshold at row 1,279, inside a window
+    "diverged": (1.1, dict(tau=0.5, x0=seeded_x0(0, 6), t_final=40.0)),
+    # the first step overflows to inf, or to inf - inf
+    "overflow-inf": (1e308, dict(tau=0.4, x0=np.ones(6), z0=np.ones(6), t_final=200.0)),
+    "overflow-nan": (1.1, dict(tau=0.4, x0=1e308 * np.array([1.0, -1.0] * 3), t_final=200.0)),
+    "tau-dt-10": (1.3, dict(tau=0.1, x0=seeded_x0(1, 6), dt=0.01, t_final=5.0)),
+    # windows of 100 rows, each formatted in two blocks
+    "tau-dt-over-block": (1.3, dict(tau=0.2, x0=seeded_x0(2, 6), dt=0.002, t_final=2.0)),
+}
+
+
+@pytest.mark.parametrize("run", list(STREAMED_RUNS))
+def test_streamed_csv_matches_savetxt(tmp_path, demo6, run):
+    eps, fields = STREAMED_RUNS[run]
+    m, cfg = sc.build_system(demo6, eps), sc.SimConfig(**fields)
+    with np.errstate(over="ignore", invalid="ignore"):
+        streamed = sc.simulate(m, cfg, str(tmp_path / "streamed.csv"))
+        in_memory = sc.simulate(m, cfg)
+    savetxt_reference(in_memory, str(tmp_path / "ref.csv"))
+    assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert streamed.states is None
+    for field in dataclasses.fields(sc.Trajectory):
+        a, b = getattr(streamed, field.name), getattr(in_memory, field.name)
+        if field.name != "states":
+            assert (np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray)
+                    else a == b), field.name
+    delay_steps = cfg.resolved()[3]
+    if run in ("converged", "diverged"):
+        assert in_memory.verdict == run
+        assert (in_memory.times.size - 1) % delay_steps != 0
+    if run.startswith("overflow"):
+        assert in_memory.times.size == 2
+    if run == "tau-dt-over-block":
+        assert delay_steps > CSV_BLOCK_ROWS
+
+
+def test_streamed_simulate_memory_does_not_grow_with_the_horizon(tmp_path, demo6):
+    # with csv_path, simulate holds the per-sample 1-D arrays and a few delay
+    # windows: net of those arrays, equal peaks at 1,025 and 4,097 rows, to the
+    # spread of the text's length, where a states array would add 295 kB
+    m = sc.build_system(demo6, 1.3)
+
+    def net_peak(rows):
+        cfg = sc.SimConfig(tau=0.2, x0=seeded_x0(0, 6), t_final=(rows - 1) * 0.004)
+        traj, peak = traced_peak(lambda: sc.simulate(m, cfg, str(tmp_path / "traj.csv")))
+        assert traj.times.size == rows
+        return peak - sum(a.nbytes for a in (traj.times, traj.consensus_error,
+                                             traj.conservation_drift))
+
+    short, long = net_peak(1025), net_peak(4097)
+    assert abs(long - short) <= 0.05 * short
+    # the kernel's three windows of (d + 1) x 2n floats and its temporaries, and
+    # the Python floats and text the formatter makes of a window's rows, about
+    # 60 bytes a value
+    window = 51 * 12 * 8
+    assert long <= 20 * window
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**31, 2**32 - 1])
