@@ -187,7 +187,7 @@ def cmd_simulate(args):
     if args.out:
         cfg.resolved()  # a config that does not validate exits 4 before --out exists
         _make_out_dir(args.out)
-        # simulate writes the rows as it integrates them, and holds no states array
+        # simulate writes the rows as it integrates them
         csv_path = os.path.join(args.out, "trajectory.csv")
     traj = sim_mod.simulate(m, cfg, csv_path)
     if args.out:

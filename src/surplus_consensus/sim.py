@@ -13,11 +13,11 @@ from .errors import InvalidConfig
 CONSENSUS_TOLERANCE = 1e-4
 DIVERGENCE_THRESHOLD = 1e6
 # rows formatted per write: at n = 40, 64 rows keep the writer's own
-# allocations under 0.4 MB, against 12.8 MB of states in a 20,000-step run
+# allocations under 0.4 MB, against 12.8 MB for all the rows of a 20,000-step run
 CSV_BLOCK_ROWS = 64
 MAX_SEED = 2**32 - 1
-# the most values of the states array simulate allocates, 800 MB: a tiny dt or
-# a long horizon would otherwise fail allocating or run for hours
+# the most state values a run may compute, (tau/dt + t_final/dt + 1) x 2n: it
+# bounds the run time, which a tiny dt or a long horizon would make hours
 MAX_STATE_VALUES = 10**8
 
 
@@ -58,7 +58,7 @@ class SimConfig:
         # (delay_steps + nsteps + 1) x 2n values, counted in floats so that a
         # tiny dt gives a huge count or inf, not an exception
         if ((self.tau + self.t_final) / dt + 1) * 2 * x0.size > MAX_STATE_VALUES:
-            raise InvalidConfig("the run would hold more than %d state values; "
+            raise InvalidConfig("the run would compute more than %d state values; "
                                 "raise dt or shorten t_final" % MAX_STATE_VALUES)
         nsteps = int(round(self.t_final / dt))
         if nsteps < 1:
@@ -77,7 +77,7 @@ class SimConfig:
 @dataclass(frozen=True)
 class Trajectory:
     times: np.ndarray
-    states: np.ndarray  # None when simulate streamed the rows to a CSV file
+    final_state: np.ndarray  # the 2n values (x, z) of the last sample
     consensus_error: np.ndarray
     conservation_drift: np.ndarray
     verdict: str
@@ -97,22 +97,22 @@ def simulate(m, cfg, csv_path=None):
     at the window's end, when the settled stretch spans a window of 5% of
     t_final; otherwise 'inconclusive'.
 
-    With csv_path, the trajectory CSV (see write_trajectory_csv) is written
-    there one delay window at a time as the run goes, and the returned states
-    are None; otherwise the states are one (samples x 2n) array.
+    Of the states, only the last row is kept, as final_state. With csv_path,
+    every row goes to the trajectory CSV there, one delay window at a time as
+    the run goes: a header line, then one row per sample, t, x, z, error and
+    drift, each formatted "%.17g".
     """
     x0, z0, dt, delay_steps, nsteps = cfg.resolved()
     n = x0.size
-    if m.shape[0] != 2 * n:
-        raise InvalidConfig("system dimension %d does not match x0 length %d"
-                            % (m.shape[0], 2 * n))
+    if m.shape != (2 * n, 2 * n):
+        raise InvalidConfig("system shape %r does not match x0 length %d, want %r"
+                            % (m.shape, n, (2 * n, 2 * n)))
     target = float((x0.sum() + z0.sum()) / n)  # the invariant (1'x0 + 1'z0) / n
     y0 = np.ascontiguousarray(np.concatenate([x0, z0]))
     total0 = y0.sum()
     mat = np.ascontiguousarray(m)
     # the per-sample arrays, filled a block of rows at a time
     times, err, drift = np.empty(nsteps + 1), np.empty(nsteps + 1), np.empty(nsteps + 1)
-    states = None if csv_path is not None else np.empty((nsteps + 1, 2 * n))
 
     def take(start, rows):
         k = slice(start, start + rows.shape[0])
@@ -122,18 +122,14 @@ def simulate(m, cfg, csv_path=None):
         x = rows[:, :n]
         err[k] = np.maximum(x.max(axis=1) - target, target - x.min(axis=1))
         drift[k] = np.abs(rows.sum(axis=1) - total0)
-        if states is None:
+        if fh is not None:
             _write_rows(fh, times[k], rows, err[k], drift[k])
-        else:
-            states[k] = rows
 
     with (open(csv_path, "w") if csv_path is not None else contextlib.nullcontext()) as fh:
         if fh is not None:
             fh.write(_csv_header(n))
-        _, last = _integrator.integrate_delayed(
+        block, last = _integrator.integrate_delayed(
             mat, y0, delay_steps, nsteps, dt, DIVERGENCE_THRESHOLD, take)
-    if states is not None:
-        states = states[:last + 1]
     times, err, drift = times[:last + 1], err[:last + 1], drift[:last + 1]
 
     # one past the last sample not below the tolerance, by the first one from
@@ -146,7 +142,7 @@ def simulate(m, cfg, csv_path=None):
         verdict = "diverged"
     elif settle + window <= last:
         verdict, decision_time = "converged", times[settle + window]
-    return Trajectory(times=times, states=states, consensus_error=err,
+    return Trajectory(times=times, final_state=block[-1].copy(), consensus_error=err,
                       conservation_drift=drift, verdict=verdict,
                       decision_time=float(decision_time),
                       convergence_time=float(times[settle]) if settle <= last else None,
@@ -189,15 +185,6 @@ def _write_rows(fh, times, states, err, drift):
         block = np.hstack([times[rows, None], states[rows], err[rows, None],
                            drift[rows, None]])
         fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
-
-
-def write_trajectory_csv(traj, path):
-    """Write the trajectory CSV of an in-memory run: a header line, then one
-    row per sample, t, x, z, error and drift, each formatted "%.17g"."""
-    with open(path, "w") as fh:
-        fh.write(_csv_header(traj.states.shape[1] // 2))
-        _write_rows(fh, traj.times, traj.states, traj.consensus_error,
-                    traj.conservation_drift)
 
 
 def write_metadata(traj, cfg, path, extra):

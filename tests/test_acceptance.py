@@ -47,7 +47,7 @@ def test_criterion_1_conservation(demo_run):
 
 def test_criterion_2_average_consensus(demo_run):
     x0, traj, elapsed = demo_run
-    dev = float(np.max(np.abs(traj.states[-1, :6] - x0.mean())))
+    dev = float(np.max(np.abs(traj.final_state[:6] - x0.mean())))
     report(2, "average consensus", dev <= 1e-3 and elapsed < 5.0,
            "final_deviation=%.3g runtime=%.2fs" % (dev, elapsed))
 
@@ -194,7 +194,7 @@ def test_criterion_10_integrator_order(demo6):
     def end_state(divisor):
         cfg = sc.SimConfig(tau=0.2, x0=x0, dt=0.2 / divisor,
                            t_final=5.0)
-        return sc.simulate(sys, cfg).states[-1]
+        return sc.simulate(sys, cfg).final_state
 
     ref = end_state(200)
     err_coarse = np.max(np.abs(end_state(25) - ref))

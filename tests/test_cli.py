@@ -161,9 +161,9 @@ def test_non_finite_value_is_a_usage_error(tmp_path, capsys, argv, message):
     # round(0.001 / 1) = 0 steps of dt
     (["--tau", "0.001", "--dt", "1", "--t-final", "0.001"],
      "t_final must be at least one step dt"),
-    # (1e7 + 4e8 + 1) x 12 values, 36.7 GiB
+    # (1e7 + 4e8 + 1) x 12 values to compute
     (["--tau", "1", "--dt", "1e-7", "--t-final", "40"],
-     "the run would hold more than 100000000 state values; raise dt or shorten t_final"),
+     "the run would compute more than 100000000 state values; raise dt or shorten t_final"),
     # y' = My: the spectrum answers it, and no kernel integrates it
     (["--tau", "0"], "tau must be positive, got 0.0"),
 ], ids=["zero-steps", "over-the-cap", "tau-zero"])

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import tracemalloc
 
@@ -7,15 +6,23 @@ import pytest
 
 import surplus_consensus as sc
 from surplus_consensus.sim import (CONSENSUS_TOLERANCE, CSV_BLOCK_ROWS, DIVERGENCE_THRESHOLD,
-                                   MAX_STATE_VALUES, seeded_x0, write_metadata,
-                                   write_trajectory_csv)
+                                   MAX_STATE_VALUES, _csv_header, _write_rows, seeded_x0,
+                                   write_metadata)
 
 
-def test_equilibrium_is_stationary(demo6):
+def simulate_with_states(m, cfg, tmp_path):
+    """simulate with a CSV, and the (samples x 2n) states read back from it:
+    "%.17g" round-trips every double, inf and nan included."""
+    path = str(tmp_path / "traj.csv")
+    traj = sc.simulate(m, cfg, path)
+    return traj, np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 1:-2]
+
+
+def test_equilibrium_is_stationary(tmp_path, demo6):
     sys = sc.build_system(demo6, 1.3)
     cfg = sc.SimConfig(tau=0.2, x0=3.7 * np.ones(6), t_final=5.0)
-    traj = sc.simulate(sys, cfg)
-    assert np.max(np.abs(traj.states - traj.states[0])) <= 1e-12
+    traj, states = simulate_with_states(sys, cfg, tmp_path)
+    assert np.max(np.abs(states - states[0])) <= 1e-12
     assert np.max(traj.consensus_error) <= 1e-12
     assert traj.verdict == "converged"
     # settled from the first sample; decided window samples later
@@ -37,7 +44,7 @@ def test_demo_run_converges(demo6):
     cfg = sc.SimConfig(tau=0.18, x0=x0, t_final=40.0)
     traj = sc.simulate(sys, cfg)
     assert traj.verdict == "converged"
-    assert np.max(np.abs(traj.states[-1, :6] - x0.mean())) <= 1e-3
+    assert np.max(np.abs(traj.final_state[:6] - x0.mean())) <= 1e-3
     # the settling index: the error is above the tolerance just before it and
     # below it from there to the end
     err = traj.consensus_error
@@ -48,18 +55,18 @@ def test_demo_run_converges(demo6):
     assert traj.decision_time == traj.times[settle + window]
 
 
-def test_beyond_margin_diverges(demo6):
+def test_beyond_margin_diverges(tmp_path, demo6):
     spec = sc.spectrum(sc.build_system(demo6, 1.1))
     tau_c = sc.tau_critical(spec).tau_c
     tau = round(1.5 * tau_c, 4)
     rng = np.random.RandomState(3)
     cfg = sc.SimConfig(tau=tau, x0=rng.uniform(0, 1, 6),
                        dt=tau / 50, t_final=400.0)
-    traj = sc.simulate(sc.build_system(demo6, 1.1), cfg)
+    traj, states = simulate_with_states(sc.build_system(demo6, 1.1), cfg, tmp_path)
     assert traj.verdict == "diverged"
     assert traj.convergence_time is None
     # the run ends on the first row over the threshold
-    peak = np.abs(traj.states).max(axis=1)
+    peak = np.abs(states).max(axis=1)
     assert peak[-1] > DIVERGENCE_THRESHOLD
     assert np.all(peak[:-1] <= DIVERGENCE_THRESHOLD)
 
@@ -94,7 +101,7 @@ def test_target_matches_trajectory_limit(demo6):
     cfg = sc.SimConfig(tau=0.18, x0=x0, t_final=40.0)
     traj = sc.simulate(sc.build_system(demo6, 1.3), cfg)
     assert traj.target == pytest.approx(x0.mean(), abs=1e-12)
-    assert np.max(np.abs(traj.states[-1, :6] - traj.target)) <= 1e-3
+    assert np.max(np.abs(traj.final_state[:6] - traj.target)) <= 1e-3
 
 
 def test_conservation_with_delay(demo6):
@@ -147,6 +154,18 @@ def test_x0_not_one_dimensional_rejected(demo6):
         sc.simulate(np.zeros((0, 0)), cfg)
 
 
+@pytest.mark.parametrize("shape", [(10, 10), (12, 13), (12, 1), (12,)],
+                         ids=["10x10", "12x13", "12x1", "12"])
+def test_system_shape_mismatch_rejected(shape):
+    # six agents need a 12 x 12 system; a wrong second dimension used to reach
+    # the kernel and raise numpy's own ValueError
+    cfg = sc.SimConfig(tau=0.1, x0=np.ones(6))
+    with pytest.raises(sc.InvalidConfig) as info:
+        sc.simulate(np.zeros(shape), cfg)
+    assert str(info.value) == ("system shape %r does not match x0 length 6, want (12, 12)"
+                               % (shape,))
+
+
 def test_states_over_the_cap_rejected_before_allocating():
     # rows = delay_steps + nsteps + 1 of 2n = 12 values; the cap allows
     # 8,333,333 rows, and resolved() allocates no states either way; tau = 1
@@ -181,16 +200,16 @@ def reference_delayed(mat, y0, delay_steps, nsteps, dt):
     return np.array(ys)
 
 
-def test_delayed_kernel_matches_stepwise_reference(demo6):
+def test_delayed_kernel_matches_stepwise_reference(tmp_path, demo6):
     # 1275 steps: 25 full delay windows of 50 steps and a partial one
     rng = np.random.RandomState(5)
     x0 = rng.uniform(0, 1, 6)
     sys = sc.build_system(demo6, 1.3)
     cfg = sc.SimConfig(tau=0.2, x0=x0, dt=0.2 / 50, t_final=5.1)
-    traj = sc.simulate(sys, cfg)
+    _, states = simulate_with_states(sys, cfg, tmp_path)
     ref = reference_delayed(sys, np.concatenate([x0, np.zeros(6)]), 50, 1275, 0.2 / 50)
-    assert traj.states.shape == ref.shape
-    assert np.max(np.abs(traj.states - ref)) <= 1e-12
+    assert states.shape == ref.shape
+    assert np.max(np.abs(states - ref)) <= 1e-12
 
 
 def test_integrator_order(demo6):
@@ -201,7 +220,7 @@ def test_integrator_order(demo6):
     def end_state(divisor):
         cfg = sc.SimConfig(tau=0.2, x0=x0, dt=0.2 / divisor,
                            t_final=5.0)
-        return sc.simulate(sys, cfg).states[-1]
+        return sc.simulate(sys, cfg).final_state
 
     ref = end_state(200)
     err_coarse = np.max(np.abs(end_state(25) - ref))
@@ -212,10 +231,9 @@ def test_integrator_order(demo6):
 def test_trajectory_csv_and_metadata(tmp_path, demo6):
     rng = np.random.RandomState(6)
     cfg = sc.SimConfig(tau=0.18, x0=rng.uniform(0, 1, 6), t_final=5.0)
-    traj = sc.simulate(sc.build_system(demo6, 1.3), cfg)
     csv_path = tmp_path / "traj.csv"
     meta_path = tmp_path / "traj.json"
-    write_trajectory_csv(traj, str(csv_path))
+    traj = sc.simulate(sc.build_system(demo6, 1.3), cfg, str(csv_path))
     write_metadata(traj, cfg, str(meta_path), {"seed": 6})
     header = csv_path.read_text().splitlines()[0]
     assert header == ("t,x1,x2,x3,x4,x5,x6,z1,z2,z3,z4,z5,z6,"
@@ -227,64 +245,61 @@ def test_trajectory_csv_and_metadata(tmp_path, demo6):
     assert meta["seed"] == 6
 
 
-def converged_run(demo6):
+def converged_run(demo6, tmp_path):
     rng = np.random.RandomState(6)
     cfg = sc.SimConfig(tau=0.2, x0=rng.uniform(0, 1, 6), t_final=5.0)
-    return sc.simulate(sc.build_system(demo6, 1.3), cfg)
+    return simulate_with_states(sc.build_system(demo6, 1.3), cfg, tmp_path)
 
 
-def overflowing_run(m, x0, z0=None):
+def overflowing_run(m, x0, tmp_path, z0=None):
     # the first step overflows: the run ends on that row, with an inf or a nan
     cfg = sc.SimConfig(tau=0.4, x0=x0, z0=z0, t_final=200.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        return sc.simulate(m, cfg)
+        return simulate_with_states(m, cfg, tmp_path)
 
 
-def overflowing_trajectory(rows):
+def overflowing_rows(rows):
     # built by hand: the states grow by e^0.65 a row and overflow to +-inf
     # from row 1092 on, where the drift inf - inf is nan
     with np.errstate(over="ignore", invalid="ignore"):
         states = np.outer(np.exp(0.65 * np.arange(rows)), [1.0, -1.0] * 6)
         err = np.abs(states[:, :6]).max(axis=1)
         drift = np.abs(states.sum(axis=1))
-    return sc.Trajectory(times=0.008 * np.arange(rows), states=states,
-                         consensus_error=err, conservation_drift=drift,
-                         verdict="diverged", decision_time=0.008 * (rows - 1),
-                         convergence_time=None, target=0.0, t_final=200.0)
+    return 0.008 * np.arange(rows), states, err, drift
 
 
-def savetxt_reference(traj, path):
-    n = traj.states.shape[1] // 2
+def write_rows(path, times, states, err, drift):
+    with open(path, "w") as fh:
+        fh.write(_csv_header(states.shape[1] // 2))
+        _write_rows(fh, times, states, err, drift)
+
+
+def savetxt_reference(table, path):
+    # table: the columns t, x, z, error and drift
+    n = (table.shape[1] - 3) // 2
     header = ",".join(["t"] + ["x%d" % i for i in range(1, n + 1)]
                       + ["z%d" % i for i in range(1, n + 1)]
                       + ["consensus_error", "conservation_drift"])
-    table = np.column_stack([traj.times, traj.states, traj.consensus_error,
-                             traj.conservation_drift])
     np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
-
-
-def head(traj, rows):
-    return dataclasses.replace(
-        traj, times=traj.times[:rows], states=traj.states[:rows],
-        consensus_error=traj.consensus_error[:rows],
-        conservation_drift=traj.conservation_drift[:rows])
 
 
 @pytest.mark.parametrize("rows", [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
                                   CSV_BLOCK_ROWS + 1, 1024, 1025])
 def test_trajectory_csv_matches_savetxt(tmp_path, demo6, rows):
-    traj = head(converged_run(demo6), rows)
-    write_trajectory_csv(traj, str(tmp_path / "blocks.csv"))
-    savetxt_reference(traj, str(tmp_path / "ref.csv"))
+    traj, states = converged_run(demo6, tmp_path)
+    columns = (traj.times[:rows], states[:rows], traj.consensus_error[:rows],
+               traj.conservation_drift[:rows])
+    write_rows(str(tmp_path / "blocks.csv"), *columns)
+    savetxt_reference(np.column_stack(columns), str(tmp_path / "ref.csv"))
     written = (tmp_path / "blocks.csv").read_bytes()
     assert written == (tmp_path / "ref.csv").read_bytes()
     assert written.count(b"\n") == rows + 1
 
 
 def test_trajectory_csv_matches_savetxt_on_overflow(tmp_path):
-    traj = overflowing_trajectory(1100)
-    write_trajectory_csv(traj, str(tmp_path / "blocks.csv"))
-    savetxt_reference(traj, str(tmp_path / "ref.csv"))
+    columns = overflowing_rows(1100)
+    write_rows(str(tmp_path / "blocks.csv"), *columns)
+    savetxt_reference(np.column_stack(columns), str(tmp_path / "ref.csv"))
     written = (tmp_path / "blocks.csv").read_bytes()
     assert written == (tmp_path / "ref.csv").read_bytes()
     last = written.splitlines()[-1].split(b",")
@@ -292,38 +307,25 @@ def test_trajectory_csv_matches_savetxt_on_overflow(tmp_path):
 
 
 @pytest.mark.parametrize("run", ["converged", "overflow", "nan"])
-def test_consensus_error_is_max_abs_deviation(demo6, run):
+def test_consensus_error_is_max_abs_deviation(tmp_path, demo6, run):
     if run == "converged":
-        traj = converged_run(demo6)
+        traj, states = converged_run(demo6, tmp_path)
     elif run == "overflow":
         # M(1e308) y0 is +-1e308 in every entry, and six times that is inf
-        traj = overflowing_run(sc.build_system(demo6, 1e308), np.ones(6), np.ones(6))
-        assert np.all(np.isinf(traj.states[-1]))
+        traj, states = overflowing_run(sc.build_system(demo6, 1e308), np.ones(6), tmp_path,
+                                       np.ones(6))
+        assert np.all(np.isinf(traj.final_state))
         assert traj.consensus_error[-1] == np.inf and np.isnan(traj.conservation_drift[-1])
     else:
         # M y0 overflows to inf - inf at the first step
-        traj = overflowing_run(sc.build_system(demo6, 1.1), 1e308 * np.array([1.0, -1.0] * 3))
+        traj, states = overflowing_run(sc.build_system(demo6, 1.1),
+                                       1e308 * np.array([1.0, -1.0] * 3), tmp_path)
         assert np.isnan(traj.consensus_error[-1])
         # a NaN error counts as above the tolerance
         assert traj.convergence_time is None
     with np.errstate(invalid="ignore"):
-        ref = np.max(np.abs(traj.states[:, :6] - traj.target), axis=1)
+        ref = np.max(np.abs(states[:, :6] - traj.target), axis=1)
     assert np.array_equal(traj.consensus_error, ref, equal_nan=True)
-
-
-def test_simulate_holds_one_trajectory_array(demo6):
-    # 20,000 steps: the states are the only array that grows with the run
-    rng = np.random.RandomState(2)
-    sys = sc.build_system(demo6, 1.3)
-    cfg = sc.SimConfig(tau=0.2, x0=rng.uniform(0, 1, 6), t_final=80.0)
-    tracemalloc.start()
-    try:
-        traj = sc.simulate(sys, cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert traj.times.size == 20001
-    assert peak <= 2 * traj.states.nbytes
 
 
 def traced_peak(fn):
@@ -342,13 +344,10 @@ def test_csv_writer_holds_a_small_block(tmp_path):
     # length, and under the 0.4 MB the README states
     def writer_peak(rows, n=40):
         rng = np.random.RandomState(1)
-        traj = sc.Trajectory(times=0.002 * np.arange(rows),
-                             states=rng.uniform(0, 1, (rows, 2 * n)),
-                             consensus_error=rng.uniform(0, 1, rows),
-                             conservation_drift=rng.uniform(0, 1e-14, rows),
-                             verdict="converged", decision_time=40.0,
-                             convergence_time=38.0, target=0.5, t_final=40.0)
-        return traced_peak(lambda: write_trajectory_csv(traj, str(tmp_path / "traj.csv")))[1]
+        times, states = 0.002 * np.arange(rows), rng.uniform(0, 1, (rows, 2 * n))
+        err, drift = rng.uniform(0, 1, rows), rng.uniform(0, 1e-14, rows)
+        with open(str(tmp_path / "traj.csv"), "w") as fh:
+            return traced_peak(lambda: _write_rows(fh, times, states, err, drift))[1]
 
     short, long = writer_peak(1025), writer_peak(4097)
     assert abs(long - short) <= 0.05 * short
@@ -375,35 +374,37 @@ def test_streamed_csv_matches_savetxt(tmp_path, demo6, run):
     eps, fields = STREAMED_RUNS[run]
     m, cfg = sc.build_system(demo6, eps), sc.SimConfig(**fields)
     with np.errstate(over="ignore", invalid="ignore"):
-        streamed = sc.simulate(m, cfg, str(tmp_path / "streamed.csv"))
-        in_memory = sc.simulate(m, cfg)
-    savetxt_reference(in_memory, str(tmp_path / "ref.csv"))
+        traj = sc.simulate(m, cfg, str(tmp_path / "streamed.csv"))
+    table = np.loadtxt(str(tmp_path / "streamed.csv"), delimiter=",", skiprows=1, ndmin=2)
+    savetxt_reference(table, str(tmp_path / "ref.csv"))
     assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-    assert streamed.states is None
-    for field in dataclasses.fields(sc.Trajectory):
-        a, b = getattr(streamed, field.name), getattr(in_memory, field.name)
-        if field.name != "states":
-            assert (np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray)
-                    else a == b), field.name
+    # one row per sample, and the last row is the final state
+    assert table.shape[0] == traj.times.size
+    for column, values in ((0, traj.times), (-2, traj.consensus_error),
+                           (-1, traj.conservation_drift)):
+        assert np.array_equal(table[:, column], values, equal_nan=True), column
+    assert np.array_equal(table[-1, 1:-2], traj.final_state, equal_nan=True)
     delay_steps = cfg.resolved()[3]
     if run in ("converged", "diverged"):
-        assert in_memory.verdict == run
-        assert (in_memory.times.size - 1) % delay_steps != 0
+        assert traj.verdict == run
+        assert (traj.times.size - 1) % delay_steps != 0
     if run.startswith("overflow"):
-        assert in_memory.times.size == 2
+        assert traj.times.size == 2
     if run == "tau-dt-over-block":
         assert delay_steps > CSV_BLOCK_ROWS
 
 
-def test_streamed_simulate_memory_does_not_grow_with_the_horizon(tmp_path, demo6):
-    # with csv_path, simulate holds the per-sample 1-D arrays and a few delay
-    # windows: net of those arrays, equal peaks at 1,025 and 4,097 rows, to the
-    # spread of the text's length, where a states array would add 295 kB
+@pytest.mark.parametrize("to_csv", [True, False], ids=["csv", "no-csv"])
+def test_streamed_simulate_memory_does_not_grow_with_the_horizon(tmp_path, demo6, to_csv):
+    # simulate holds the per-sample 1-D arrays and a few delay windows, with or
+    # without a CSV: net of those arrays, equal peaks at 1,025 and 4,097 rows,
+    # to the spread of the text's length, where a states array would add 295 kB
     m = sc.build_system(demo6, 1.3)
+    csv_path = str(tmp_path / "traj.csv") if to_csv else None
 
     def net_peak(rows):
         cfg = sc.SimConfig(tau=0.2, x0=seeded_x0(0, 6), t_final=(rows - 1) * 0.004)
-        traj, peak = traced_peak(lambda: sc.simulate(m, cfg, str(tmp_path / "traj.csv")))
+        traj, peak = traced_peak(lambda: sc.simulate(m, cfg, csv_path))
         assert traj.times.size == rows
         return peak - sum(a.nbytes for a in (traj.times, traj.consensus_error,
                                              traj.conservation_drift))
