@@ -1,12 +1,15 @@
 """Experiment runner CLI: analyze, simulate, sweep, verify.
 
-Every command prints a single machine-parsable `key=value ...` summary line on
-stdout and writes CSV/JSON artifacts to --out when requested.
+Every command returns its `key=value` summary pairs and exit code, and writes
+CSV/JSON artifacts to --out when requested; main prints the summary as one
+line on stdout and maps each error to its exit code.
 """
 
 import argparse
 import csv
+import json
 import os
+import shlex
 import sys
 
 import numpy as np
@@ -31,6 +34,16 @@ EXIT_NOT_STRONGLY_CONNECTED = 3
 EXIT_BAD_CONFIG = 4
 EXIT_NUMERICAL_FAILURE = 5
 EXIT_INTERNAL_ERROR = 6
+
+# an exception's exit code is that of its first match: NotStronglyConnected
+# comes before its base class PreconditionViolated, a ConsensusError (exit 5)
+EXIT_CODES = (
+    (GraphFormatError, EXIT_BAD_GRAPH),
+    (NotStronglyConnected, EXIT_NOT_STRONGLY_CONNECTED),
+    ((InvalidConfig, InvalidParameter), EXIT_BAD_CONFIG),
+    (ConsensusError, EXIT_NUMERICAL_FAILURE),
+    (Exception, EXIT_INTERNAL_ERROR),
+)
 
 # the most points of a range and cells of a sweep grid: a million cells take
 # minutes even at n = 6, so more is a typo, and a tiny step would ask for gigabytes
@@ -104,10 +117,6 @@ def _make_out_dir(path):
         raise InvalidParameter("cannot create --out %r: %s" % (path, exc.strerror)) from exc
 
 
-def _summary(pairs):
-    print(" ".join("%s=%s" % (k, v) for k, v in pairs))
-
-
 def _fmt(x):
     return "%.12g" % x
 
@@ -169,8 +178,7 @@ def cmd_analyze(args):
     if args.out:
         with open(os.path.join(args.out, "analyze.txt"), "w") as fh:
             fh.write(report)
-    _summary(summary)
-    return EXIT_OK
+    return summary, EXIT_OK
 
 
 def _fmt_complex(v):
@@ -180,32 +188,33 @@ def _fmt_complex(v):
 def cmd_simulate(args):
     g = load_graph(args.graph)
     graph_mod.require_strongly_connected(g)
-    x0 = sim_mod.seeded_x0(args.seed, g.n)
-    cfg = sim_mod.SimConfig(tau=args.tau, x0=x0, dt=args.dt, t_final=args.t_final)
+    cfg = sim_mod.SimConfig(tau=args.tau, x0=sim_mod.seeded_x0(args.seed, g.n),
+                            dt=args.dt, t_final=args.t_final)
     m = system_mod.build_system(g, args.eps)
+    # a config that does not validate exits 4 before --out exists
+    x0, z0, dt, _, _ = cfg.resolved()
     csv_path = None
     if args.out:
-        cfg.resolved()  # a config that does not validate exits 4 before --out exists
         _make_out_dir(args.out)
         # simulate writes the rows as it integrates them
         csv_path = os.path.join(args.out, "trajectory.csv")
     traj = sim_mod.simulate(m, cfg, csv_path)
-    if args.out:
-        sim_mod.write_metadata(traj, cfg, os.path.join(args.out, "trajectory.json"),
-                               {"epsilon": args.eps, "graph": args.graph, "seed": args.seed})
     conv = traj.convergence_time
-    _summary([
-        ("command", "simulate"),
-        ("eps", _fmt(args.eps)),
-        ("tau", _fmt(args.tau)),
-        ("t_final", _fmt(traj.t_final)),
-        ("verdict", traj.verdict),
-        ("target", _fmt(traj.target)),
-        ("convergence_time", "none" if conv is None else _fmt(conv)),
-        ("max_drift", _fmt(float(traj.conservation_drift.max()))),
-        ("seed", args.seed),
-    ])
-    return EXIT_OK
+    if args.out:
+        doc = {"tau": args.tau, "dt": dt, "t_final": traj.t_final, "x0": x0.tolist(),
+               "z0": z0.tolist(), "consensus_tolerance": sim_mod.CONSENSUS_TOLERANCE,
+               "divergence_threshold": sim_mod.DIVERGENCE_THRESHOLD,
+               "verdict": traj.verdict, "decision_time": traj.decision_time,
+               "consensus_target": traj.target, "convergence_time": conv,
+               "epsilon": args.eps, "graph": args.graph, "seed": args.seed}
+        with open(os.path.join(args.out, "trajectory.json"), "w") as fh:
+            fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return [("command", "simulate"), ("eps", _fmt(args.eps)), ("tau", _fmt(args.tau)),
+            ("t_final", _fmt(traj.t_final)), ("verdict", traj.verdict),
+            ("target", _fmt(traj.target)),
+            ("convergence_time", "none" if conv is None else _fmt(conv)),
+            ("max_drift", _fmt(float(traj.conservation_drift.max()))),
+            ("seed", args.seed)], EXIT_OK
 
 
 def _write_csv(path, header, rows, comment=None):
@@ -279,9 +288,7 @@ def cmd_sweep(args):
     # failed cells, (eps, tau, reason); tau is empty in tau_c mode
     if failures:
         _write_csv(os.path.join(args.out, "failures.csv"), ["eps", "tau", "reason"], failures)
-    summary += [("csv", path), ("warnings", len(failures))]
-    _summary(summary)
-    return EXIT_OK
+    return summary + [("csv", path), ("warnings", len(failures))], EXIT_OK
 
 
 def cmd_verify(args):
@@ -318,14 +325,13 @@ def cmd_verify(args):
     bound = 1e-6 * (1.0 + abs(x0.sum()))
     checks.append(("conservation", float(traj.conservation_drift.max()) <= bound))
 
+    summary = [("command", "verify"), ("eps", _fmt(eps)), ("tau_c", _fmt(margin.tau_c)),
+               ("seed", args.seed)] + [(name, "pass" if ok else "FAIL") for name, ok in checks]
     failed = [name for name, ok in checks if not ok]
-    _summary([("command", "verify"), ("eps", _fmt(eps)),
-              ("tau_c", _fmt(margin.tau_c)), ("seed", args.seed)]
-             + [(name, "pass" if ok else "FAIL") for name, ok in checks])
     if failed:
         print("failed checks: %s" % ", ".join(failed), file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+        return summary, EXIT_CHECK_FAILED
+    return summary, EXIT_OK
 
 
 def build_parser():
@@ -376,23 +382,16 @@ def main(argv=None):
         # argparse exits 2 on a usage error and 0 after --help
         return EXIT_BAD_CONFIG if exc.code == 2 else exc.code
     try:
-        return args.func(args)
-    except GraphFormatError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_BAD_GRAPH
-    except (InvalidConfig, InvalidParameter) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    except NotStronglyConnected as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_NOT_STRONGLY_CONNECTED
-    except ConsensusError as exc:
-        # NumericalFailure, another PreconditionViolated, NoAdmissibleEpsilon
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_NUMERICAL_FAILURE
+        summary, code = args.func(args)
+        # shell-quoted, so that shlex.split gives back an --out path with a space;
+        # inside the try, so a summary that cannot be written exits 6
+        print(" ".join("%s=%s" % (k, shlex.quote(str(v))) for k, v in summary))
+        return code
     except Exception as exc:
-        print("error: unexpected %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
-        return EXIT_INTERNAL_ERROR
+        code = next(code for types, code in EXIT_CODES if isinstance(exc, types))
+        prefix = "unexpected %s: " % type(exc).__name__ if code == EXIT_INTERNAL_ERROR else ""
+        print("error: %s%s" % (prefix, exc), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

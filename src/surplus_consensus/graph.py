@@ -82,6 +82,10 @@ def is_strongly_connected(g):
     """True iff a directed path joins every ordered node pair (two BFS passes)."""
     if g.n == 1:
         return True
+    # every node of a strongly connected digraph on n >= 2 nodes has an
+    # in-edge: a header's typo in n fails here, before 2n adjacency lists exist
+    if len(g.edges) < g.n:
+        return False
     fwd = [[] for _ in range(g.n)]
     bwd = [[] for _ in range(g.n)]
     for (i, j) in g.edges:

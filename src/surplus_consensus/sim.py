@@ -1,7 +1,6 @@
 """Simulation of the delayed network dynamics with consensus metrics."""
 
 import contextlib
-import json
 import random
 from dataclasses import dataclass
 
@@ -186,25 +185,3 @@ def _write_rows(fh, times, states, err, drift):
                            drift[rows, None]])
         fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
 
-
-def write_metadata(traj, cfg, path, extra):
-    """Write the run's configuration and grades as sorted JSON; extra adds what
-    simulate does not see, such as epsilon, the graph and the seed."""
-    x0, z0, dt, _, _ = cfg.resolved()
-    doc = {
-        "tau": cfg.tau,
-        "dt": dt,
-        "t_final": traj.t_final,
-        "x0": list(x0),
-        "z0": list(z0),
-        "consensus_tolerance": CONSENSUS_TOLERANCE,
-        "divergence_threshold": DIVERGENCE_THRESHOLD,
-        "verdict": traj.verdict,
-        "decision_time": traj.decision_time,
-        "consensus_target": traj.target,
-        "convergence_time": traj.convergence_time,
-    }
-    doc.update(extra)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ def run(argv):
 
 def parse_summary(captured):
     line = captured.strip().splitlines()[-1]
-    return dict(item.split("=", 1) for item in line.split())
+    return dict(item.split("=", 1) for item in shlex.split(line))
 
 
 def test_parse_range():
@@ -277,6 +278,10 @@ def test_failed_check_exits_1(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert parse_summary(captured.out)["oracle_agreement"] == "FAIL"
     assert captured.err == "failed checks: oracle_agreement\n"
+    # a failing run prints the keys of a passing one
+    assert list(parse_summary(captured.out)) == [
+        "command", "eps", "tau_c", "seed", "oracle_agreement", "crossing_bisection",
+        "conservation"]
 
 
 def test_wrong_lambert_w_root_misses_the_oracle(demo6):
@@ -317,6 +322,17 @@ def test_unexpected_error_is_one_line_exit_6(monkeypatch, capsys):
                 "--tau", "0.18"]) == 6
     assert capsys.readouterr().err == "error: unexpected RuntimeError: boom\n"
 
+    # so is a summary line that cannot be written
+    monkeypatch.undo()
+
+    class Full:
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+    monkeypatch.setattr(sys, "stdout", Full())
+    assert run(["verify", "--graph", sc.demo_graph_path()]) == 6
+    assert capsys.readouterr().err == (
+        "error: unexpected OSError: [Errno 28] No space left on device\n")
+
 
 def test_simulate_demo(tmp_path, capsys):
     out = tmp_path / "run"
@@ -335,7 +351,59 @@ def test_simulate_demo(tmp_path, capsys):
     assert (meta["epsilon"], meta["seed"], meta["graph"]) == (1.3, 42, sc.demo_graph_path())
     rng = np.random.RandomState(42)
     assert meta["consensus_target"] == pytest.approx(rng.uniform(0, 1, 6).mean())
-    assert (out / "trajectory.csv").exists()
+    assert (meta["tau"], meta["dt"], meta["verdict"]) == (0.18, 0.18 / 50, "converged")
+    assert (meta["consensus_tolerance"], meta["divergence_threshold"]) == (
+        sc.sim.CONSENSUS_TOLERANCE, sc.sim.DIVERGENCE_THRESHOLD)
+    # x0, z0 and the grades agree with the trajectory CSV
+    data = np.loadtxt(str(out / "trajectory.csv"), delimiter=",", skiprows=1)
+    t, err = data[:, 0], data[:, -2]
+    assert (meta["x0"], meta["z0"]) == (data[0, 1:7].tolist(), data[0, 7:13].tolist())
+    assert meta["t_final"] == t[-1] == 11111 * meta["dt"]
+    settle = int(np.flatnonzero(err >= sc.sim.CONSENSUS_TOLERANCE)[-1]) + 1
+    window = int(round(0.05 * 40.0 / meta["dt"]))
+    assert (meta["convergence_time"], meta["decision_time"]) == (t[settle], t[settle + window])
+
+
+MAP_KEYS = ["command", "mode", "argmin_eps", "argmin_tau", "min_re_lambda_r",
+            "max_root_residual", "csv", "warnings"]
+
+
+@pytest.mark.parametrize("argv,keys", [
+    (["analyze"], ["command", "n", "edges", "balanced", "delta_bar", "null_count_m0",
+                   "lambda3_re", "lambda2_slope", "tau_tilde"]),
+    (["analyze", "--eps", "1.1"], ["command", "n", "edges", "balanced", "delta_bar",
+                                   "null_count_m0", "lambda3_re", "lambda2_slope",
+                                   "tau_tilde", "eps", "tau_c", "omega"]),
+    (["simulate", "--eps", "1.3", "--tau", "0.18", "--t-final", "1"],
+     ["command", "eps", "tau", "t_final", "verdict", "target", "convergence_time",
+      "max_drift", "seed"]),
+    (["sweep", "--mode", "eps", "--eps-range", "0.5:0.5:1", "--out", "OUT"], MAP_KEYS),
+    (["sweep", "--mode", "tau", "--eps", "1.1", "--tau-range", "0:0.1:0.2", "--out", "OUT"],
+     MAP_KEYS),
+    (["sweep", "--mode", "two_d", "--eps-range", "0.5:0.5:1", "--tau-range", "0:0.1:0.1",
+      "--out", "OUT"], MAP_KEYS),
+    (["sweep", "--mode", "tau_c", "--eps-range", "0.5:0.5:1", "--out", "OUT"],
+     ["command", "mode", "argmax_eps", "max_tau_c", "csv", "warnings"]),
+    (["verify"], ["command", "eps", "tau_c", "seed", "oracle_agreement",
+                  "crossing_bisection", "conservation"]),
+], ids=["analyze", "analyze-eps", "simulate", "sweep-eps", "sweep-tau", "sweep-two_d",
+        "sweep-tau_c", "verify"])
+def test_summary_keys_and_order(tmp_path, capsys, argv, keys):
+    argv = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
+    assert run(argv + ["--graph", sc.demo_graph_path()]) == 0
+    assert list(parse_summary(capsys.readouterr().out)) == keys
+
+
+def test_summary_quotes_a_path_with_a_space(tmp_path, monkeypatch, capsys):
+    # "csv=my dir/sweep_tau_c.csv" split on whitespace lost the path
+    monkeypatch.chdir(tmp_path)
+    assert run(["sweep", "--mode", "tau_c", "--graph", sc.demo_graph_path(),
+                "--eps-range", "0.5:0.5:1", "--out", "my dir"]) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert "csv='my dir/sweep_tau_c.csv'" in line
+    summary = parse_summary(line)  # shlex.split
+    assert summary["csv"] == os.path.join("my dir", "sweep_tau_c.csv")
+    assert (tmp_path / summary["csv"]).is_file()
 
 
 def test_simulate_reports_the_horizon_it_integrated(tmp_path, capsys):

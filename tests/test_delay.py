@@ -298,11 +298,14 @@ def test_oracle_matches_lambert(demo6):
         assert abs(abs(lw.imag) - abs(orc.imag)) <= 1e-6
 
 
-@pytest.mark.parametrize("seed", [None, 1, 2, 3], ids=["demo6", "n24-1", "n24-2", "n24-3"])
+@pytest.mark.parametrize("seed", [None, 1, 2, 3], ids=["demo6", "n6-1", "n6-2", "n6-3"])
 def test_oracle_matches_full_generator_reference(demo6, seed):
     # the scalar generators, one per eigenvalue, have the full generator's
-    # eigenvalues; of a conjugate pair both report the root with Im >= 0
-    g = demo6 if seed is None else sc.random_strongly_connected(24, 72, seed=seed)
+    # eigenvalues; of a conjugate pair both report the root with Im >= 0. The
+    # random graphs at n = 6 fail every oracle mutant that graphs of n = 24 fail
+    # (roots not folded to Im >= 0, Im lambda dropped, a wrong boundary row,
+    # ...), at a twentieth of the cost
+    g = demo6 if seed is None else sc.random_strongly_connected(6, 18, seed=seed)
     for eps in (0.5, 1.1):
         m = sc.build_system(g, eps)
         spec = sc.spectrum(m)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,26 @@ def test_strong_connectivity(demo6, three_cycle):
     assert sc.is_strongly_connected(demo6)
     assert sc.is_strongly_connected(three_cycle)
     assert not sc.is_strongly_connected(sc.build_graph(2, [(1, 2)]))
+    # n edges are enough: a cycle through every node
+    cycle = [(i, i % 5 + 1) for i in range(1, 6)]
+    assert sc.is_strongly_connected(sc.build_graph(5, cycle))
+    assert not sc.is_strongly_connected(sc.build_graph(5, cycle[1:]))
+
+
+def test_node_count_typo_is_refused_without_per_node_memory(tmp_path, capsys):
+    # a three-line file whose header says n = 1,000,000: fewer edges than nodes
+    # fail before the 2n adjacency lists (about 150 MB at this n) exist
+    path = tmp_path / "typo.edges"
+    path.write_text("n 1000000\n1 2\n2 1\n")
+    tracemalloc.start()
+    try:
+        code = cli.main(["analyze", "--graph", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert capsys.readouterr().err == "error: graph is not strongly connected\n"
+    assert peak < 1_000_000
 
 
 def test_balanced(two_node, demo6, three_cycle):

@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 
 import numpy as np
@@ -6,8 +5,7 @@ import pytest
 
 import surplus_consensus as sc
 from surplus_consensus.sim import (CONSENSUS_TOLERANCE, CSV_BLOCK_ROWS, DIVERGENCE_THRESHOLD,
-                                   MAX_STATE_VALUES, _csv_header, _write_rows, seeded_x0,
-                                   write_metadata)
+                                   MAX_STATE_VALUES, _csv_header, _write_rows, seeded_x0)
 
 
 def simulate_with_states(m, cfg, tmp_path):
@@ -228,21 +226,16 @@ def test_integrator_order(demo6):
     assert err_coarse / err_fine >= 8.0
 
 
-def test_trajectory_csv_and_metadata(tmp_path, demo6):
+def test_trajectory_csv_header_and_rows(tmp_path, demo6):
     rng = np.random.RandomState(6)
     cfg = sc.SimConfig(tau=0.18, x0=rng.uniform(0, 1, 6), t_final=5.0)
     csv_path = tmp_path / "traj.csv"
-    meta_path = tmp_path / "traj.json"
     traj = sc.simulate(sc.build_system(demo6, 1.3), cfg, str(csv_path))
-    write_metadata(traj, cfg, str(meta_path), {"seed": 6})
     header = csv_path.read_text().splitlines()[0]
     assert header == ("t,x1,x2,x3,x4,x5,x6,z1,z2,z3,z4,z5,z6,"
                       "consensus_error,conservation_drift")
     data = np.loadtxt(str(csv_path), delimiter=",", skiprows=1)
     assert data.shape[0] == traj.times.size
-    meta = json.loads(meta_path.read_text())
-    assert meta["verdict"] == traj.verdict
-    assert meta["seed"] == 6
 
 
 def converged_run(demo6, tmp_path):
