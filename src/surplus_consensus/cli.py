@@ -129,7 +129,7 @@ def cmd_analyze(args):
         _make_out_dir(args.out)
     prof = graph_mod.degree_profile(g)
     spec0 = system_mod.spectrum(system_mod.build_system(g, 0.0))
-    lam3 = spec0.rightmost_nonnull
+    lam3 = spec0.nonnull[0]
     slope = system_mod.lambda2_slope(g)
     tilde = delay_mod.tau_tilde_bound(g)
     balanced = graph_mod.is_balanced(g)

@@ -22,6 +22,7 @@ from .errors import (
 )
 
 LAMBERT_W_TOL = 1e-12
+FOUR_UNIT_ROUNDOFF = 2.0 ** -51  # 4u, u = 2^-53 the unit roundoff of a double
 LAMBERT_W_MAX_ITER = 100  # Halley steps per start point
 ORACLE_ORDER = 30  # Chebyshev collocation order: 31 x 31 scalar generators
 BISECTION_REL_TOL = 1e-9
@@ -65,12 +66,15 @@ class StabilityMap:
 def lambert_w(z, k=0):
     """Branch k of the Lambert W function by Halley iteration.
 
-    Returns w with |w e^w - z| <= LAMBERT_W_TOL * min(1, |z|) and unwinding number
-    k, Im(w + Log w - Log z) = 2 pi k (Corless et al., Adv. Comput. Math. 5, 1996),
-    since the residual alone cannot tell branches apart; a start point that
-    diverges or lands on another branch is followed by the next. On real z in
-    [-1/e, 0) both real branches have unwinding number 0, so W_-1 is exempt.
-    A signed zero imaginary part is ignored: a cut takes the value from above.
+    Returns w with unwinding number k, Im(w + Log w - Log z) = 2 pi k (Corless et
+    al., Adv. Comput. Math. 5, 1996), since the residual alone cannot tell
+    branches apart, and |w e^w - z| <= max(LAMBERT_W_TOL min(1, |z|),
+    FOUR_UNIT_ROUNDOFF |z| (1 + |Log z + 2 pi i k|)): relative for tiny |z|, where
+    any w with Re w << 0 meets an absolute bound, and the rounding error of w e^w,
+    |w| ~ |Log z + 2 pi i k|, for large |z|. A start point that diverges or lands
+    on another branch is followed by the next. On real z in [-1/e, 0) both real
+    branches have unwinding number 0, so W_-1 is exempt. Im z < 0 is solved as
+    conj W_-k(conj z); a signed zero Im z is ignored: a cut takes the value from above.
     """
     z = complex(z) + 0.0
     k = int(k)
@@ -78,45 +82,45 @@ def lambert_w(z, k=0):
         if k == 0:
             return 0j
         raise NumericalFailure("branch %d of W is singular at z = 0" % k)
-    real_branch = k == -1 and z.imag == 0 and -1.0 / math.e <= z.real < 0
-    log_z = cmath.log(z)
-    two_pi_k = 2.0 * math.pi * k
+    lower = z.imag < 0
+    zu, ku = (z.conjugate(), -k) if lower else (z, k)
+    real_branch = ku == -1 and zu.imag == 0 and -1.0 / math.e <= zu.real < 0
+    log_z = cmath.log(zu)
+    two_pi_k = 2.0 * math.pi * ku
+    log_zk = log_z + two_pi_k * 1j
     abs_z = abs(z)
-    # relative for tiny |z|, where an absolute bound is met by any w with Re w << 0
-    bound = LAMBERT_W_TOL * abs_z if abs_z < 1.0 else LAMBERT_W_TOL
-    for w in _start_points(z, k, real_branch, log_z, two_pi_k):
+    bound = max(LAMBERT_W_TOL * abs_z if abs_z < 1.0 else LAMBERT_W_TOL,
+                FOUR_UNIT_ROUNDOFF * abs_z * (1.0 + abs(log_zk)))
+    for w in _start_points(zu, ku, real_branch, log_zk):
         try:
             stalled = False
             # the loop exits only after computing f for the current w, so the
             # residual checked is that of the w returned
             for i in range(LAMBERT_W_MAX_ITER + 1):
                 ew = cmath.exp(w)
-                f = w * ew - z
+                f = w * ew - zu
                 if abs(f) <= bound or stalled or i == LAMBERT_W_MAX_ITER:
                     break
                 wp1 = w + 1.0
                 step = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
                 w = w - step
-                stalled = abs(step) <= 1e-17 * max(1.0, abs(w))
+                abs_w = abs(w)
+                stalled = abs(step) <= (1e-17 * abs_w if abs_w > 1.0 else 1e-17)
         except OverflowError:  # the iteration diverged from this start point
             continue
         if abs(f) <= bound and (
                 real_branch or abs((w + cmath.log(w) - log_z).imag - two_pi_k) < math.pi):
-            return w
+            return w.conjugate() if lower else w
     raise NumericalFailure("Lambert W branch %d failed to converge for z = %r" % (k, z))
 
 
-def _start_points(z, k, real_branch, log_z, two_pi_k):
-    """Initial guesses for branch k at z, best first."""
+def _start_points(z, k, real_branch, log_zk):
+    """Initial guesses for branch k at z, best first; log_zk is Log z + 2 pi i k."""
     if k == 0 and abs(z) <= 1.0 / math.e:
         yield z * (1.0 - z + 1.5 * z * z)
     elif k in (0, -1) and abs(p2 := 2.0 * (math.e * z + 1.0)) < 0.8:
         # series around the branch point at -1/e
-        p = cmath.sqrt(p2)
-        if k == -1:
-            p = -p if z.imag >= 0 else p
-        if k == 0 and z.imag < 0 and p.imag > 0:
-            p = -p
+        p = -cmath.sqrt(p2) if k == -1 else cmath.sqrt(p2)
         yield -1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p * p * p
     elif real_branch:
         ln = math.log(-z.real)
@@ -124,7 +128,7 @@ def _start_points(z, k, real_branch, log_z, two_pi_k):
     # asymptotic guesses L1 - L2 + L2 / L1, then L1 - L2; near |z| = 1/e they and the
     # ones above can fall into a neighbouring branch's basin, and within rounding of
     # the cut (-1/e, 0) the first can stop with Im w of the wrong sign
-    w = log_z + two_pi_k * 1j
+    w = log_zk
     if abs(w) > 1.0:
         log_w = cmath.log(w)
         yield w - log_w + log_w / w
@@ -141,13 +145,8 @@ def tau_critical(spec):
     Angles are folded into the upper half-plane, theta_i = |arg lambda_i| in
     (pi/2, pi]; the crossing frequency equals the limiting eigenvalue's modulus.
     """
-    if spec.null_count != 1:
-        raise PreconditionViolated(
-            "expected exactly one null eigenvalue, found %d" % spec.null_count
-        )
+    spec.require_admissible()
     lam = spec.nonnull
-    if np.any(lam.real >= 0):
-        raise PreconditionViolated("a non-null eigenvalue has non-negative real part")
     radius = np.abs(lam)
     values = (np.abs(np.angle(lam)) - math.pi / 2.0) / radius
     j = int(np.argmin(values))
@@ -165,8 +164,7 @@ def tau_tilde_bound(g):
     """
     graph_mod.require_strongly_connected(g)
     delta_bar = graph_mod.degree_profile(g).delta_bar
-    spec = system_mod.spectrum(system_mod.build_system(g, 0.0))
-    lam3 = spec.rightmost_nonnull
+    lam3 = system_mod.spectrum(system_mod.build_system(g, 0.0)).nonnull[0]
     return (1.0 / (2.0 * delta_bar)) * math.atan(abs(lam3.real) / delta_bar)
 
 
@@ -183,16 +181,13 @@ def rightmost_root(spec, tau):
 
     Scans s = W_k(tau * lambda_i) / tau over the non-null eigenvalues and the
     branches k in [-2, 2] and keeps the largest (Re s, Im s): of a conjugate
-    pair, the root with Im s >= 0. The principal branch has the largest real
-    part of all branches W_k (proved for real arguments by Shinozaki and Mori,
-    Automatica 42, 2006; the tests check complex ones against scipy), so the
-    root found is always a W_0 one and the other four branches never win;
-    cutting the scan to W_0 waits on the benchmark's call-count figures
-    (ROADMAP item 1). So a branch k != 0 that raises NumericalFailure is skipped,
-    and only a W_0 failure fails the scan. The null eigenvalue contributes only
-    s = 0 and is excluded.
-    Cost: 5 (2n - 1) lambert_w calls at n nodes, 5-7 us each on one core of a
-    2-vCPU Xeon; at n = 200 one call takes 11-14 ms.
+    pair, the root with Im s >= 0. W_0 has the largest real part of all branches
+    (proved for real arguments by Shinozaki and Mori, Automatica 42, 2006; the
+    tests check complex ones against scipy), so the other four never win; cutting
+    the scan to W_0 waits on the benchmark's call-count figures (ROADMAP item 1).
+    So a branch k != 0 that raises NumericalFailure is skipped, and only a W_0
+    failure fails the scan. The null eigenvalue contributes only s = 0 and is
+    excluded.
     """
     _require_positive_delay(tau)
     best, best_re, best_im = None, -math.inf, -math.inf
@@ -207,8 +202,6 @@ def rightmost_root(spec, tau):
                 continue  # a branch that is never rightmost
             if s.real > best_re or (s.real == best_re and s.imag > best_im):
                 best, best_re, best_im = (s, i, lam), s.real, s.imag
-    if best is None:
-        raise PreconditionViolated("spectrum has no non-null eigenvalue")
     s, i, lam = best
     return RightmostRoot(root=s, source_eigenvalue_index=i,
                          residual=abs(s * cmath.exp(s * tau) - lam))
@@ -236,9 +229,8 @@ def rightmost_root_oracle(spec, tau):
     (Jarlebring & Damm, 2007)."""
     _require_positive_delay(tau)
     lam = spec.nonnull
-    lam = lam[lam.imag >= 0]  # M is real: a conjugate eigenvalue has the conjugate roots
-    if lam.size == 0:
-        raise PreconditionViolated("spectrum has no non-null eigenvalue")
+    # a conjugate eigenvalue has the conjugate roots, the same once folded to Im >= 0
+    lam = np.unique(lam.real + 1j * np.abs(lam.imag))
     _, d = chebyshev_nodes_diff(ORACLE_ORDER, tau)
     gen = np.zeros((lam.size,) + d.shape, dtype=complex)
     # collocation rows: d/dtheta; boundary row: dy/dt = lambda_i y(-tau), on the last node
@@ -250,7 +242,7 @@ def rightmost_root_oracle(spec, tau):
         raise NumericalFailure("eigenvalue computation failed: %s" % exc)
     # fold to Im >= 0: a real lambda_i's roots are conjugate only to rounding
     roots = roots.real + 1j * np.abs(roots.imag)
-    return complex(system_mod.sort_eigenvalues(roots)[0])
+    return complex(roots[np.lexsort((roots.imag, roots.real))[-1]])
 
 
 def sweep_tau_c(g, eps_grid):
@@ -300,7 +292,7 @@ def stability_map(g, eps_grid, tau_grid):
         for b, tau in enumerate(tau_grid):
             try:
                 if tau == 0.0:
-                    roots[a, b] = spec.rightmost_nonnull
+                    roots[a, b] = spec.nonnull[0]
                 else:
                     root = rightmost_root(spec, tau)
                     roots[a, b] = root.root

@@ -28,10 +28,15 @@ NULL_VECTOR_TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues sorted by descending real part (ties: descending imaginary)."""
+    """Eigenvalues, given in any order and kept sorted by descending real part
+    (ties: descending imaginary), split at NULL_TOLERANCE into the null ones
+    and the rest."""
 
     eigenvalues: np.ndarray
-    null_count: int
+
+    def __post_init__(self):
+        vals = np.asarray(self.eigenvalues, dtype=complex)
+        object.__setattr__(self, "eigenvalues", vals[np.lexsort((-vals.imag, -vals.real))])
 
     @property
     def nonnull_index(self):
@@ -39,17 +44,25 @@ class Spectrum:
         return np.flatnonzero(np.abs(self.eigenvalues) > NULL_TOLERANCE)
 
     @property
-    def nonnull(self):
-        """Non-null eigenvalues in spectrum order, rightmost first."""
-        return self.eigenvalues[self.nonnull_index]
+    def null_count(self):
+        return self.eigenvalues.size - self.nonnull_index.size
 
     @property
-    def rightmost_nonnull(self):
-        """The rightmost non-null eigenvalue; PreconditionViolated if none is."""
-        lam = self.nonnull
-        if lam.size == 0:
+    def nonnull(self):
+        """Non-null eigenvalues, rightmost first; PreconditionViolated if there is none."""
+        index = self.nonnull_index
+        if index.size == 0:
             raise PreconditionViolated("spectrum has no non-null eigenvalue")
-        return lam[0]
+        return self.eigenvalues[index]
+
+    def require_admissible(self):
+        """PreconditionViolated unless exactly one eigenvalue is null and every
+        other has Re < 0: the spectra tau_critical and find_eps_bar admit."""
+        if self.null_count != 1:
+            raise PreconditionViolated("expected exactly one null eigenvalue, found %d"
+                                       % self.null_count)
+        if self.nonnull[0].real >= 0:
+            raise PreconditionViolated("a non-null eigenvalue has non-negative real part")
 
 
 @dataclass(frozen=True)
@@ -71,18 +84,12 @@ def build_system(g, epsilon):
     ])
 
 
-def sort_eigenvalues(vals):
-    order = np.lexsort((-vals.imag, -vals.real))
-    return vals[order]
-
-
 def spectrum(m):
     try:
         vals = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("eigenvalue computation failed: %s" % exc)
-    vals = sort_eigenvalues(vals)
-    return Spectrum(eigenvalues=vals, null_count=int(np.sum(np.abs(vals) <= NULL_TOLERANCE)))
+    return Spectrum(vals)
 
 
 def _null_vector(mat):
@@ -123,16 +130,16 @@ def lambda2_slope(g):
 
 
 def find_eps_bar(g, eps_grid):
-    """Largest grid value whose whole prefix yields one null eigenvalue and a
-    strictly stable remainder. Numerical estimate, not a provable supremum."""
+    """Largest grid value whose whole prefix yields an admissible spectrum
+    (Spectrum.require_admissible); a numerical estimate, not a provable supremum."""
     eps_grid = list(eps_grid)
     if not eps_grid:
         raise InvalidParameter("eps_grid must be non-empty")
     best = None
     for eps in eps_grid:
-        spec = spectrum(build_system(g, eps))
-        ok = spec.null_count == 1 and np.all(spec.nonnull.real < -NULL_TOLERANCE)
-        if not ok:
+        try:
+            spectrum(build_system(g, eps)).require_admissible()
+        except PreconditionViolated:
             break
         best = eps
     if best is None:

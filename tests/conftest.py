@@ -3,7 +3,6 @@ import pytest
 
 import surplus_consensus as sc
 from surplus_consensus.delay import chebyshev_nodes_diff
-from surplus_consensus.system import sort_eigenvalues
 
 # the full generator's null eigenvalue carries ~100 times the rounding of M(eps)'s
 REFERENCE_NULL_TOLERANCE = 1e-7
@@ -54,5 +53,5 @@ def reference_oracle(m, tau, discretization_order=30):
     gen[dim:, :] = np.kron(d[1:], np.eye(dim))
     # boundary row at theta = 0: dy/dt = M y(-tau); the delay lands on the last node
     gen[:dim, dim * order:] = m
-    vals = sort_eigenvalues(np.linalg.eigvals(gen))
+    vals = sc.Spectrum(np.linalg.eigvals(gen)).eigenvalues  # sorted, rightmost first
     return complex(vals[np.abs(vals) > REFERENCE_NULL_TOLERANCE][0])

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 
 import surplus_consensus as sc
 from surplus_consensus import cli
@@ -49,6 +50,21 @@ def test_analyze_demo(capsys):
     assert summary["null_count_m0"] == "2"
     assert float(summary["tau_tilde"]) == pytest.approx(0.098000, abs=1e-5)
     assert float(summary["tau_c"]) == pytest.approx(0.205783, abs=1e-5)
+
+
+def test_analyze_out_writes_the_stderr_report(tmp_path, capsys):
+    out = tmp_path / "report"
+    assert run(["analyze", "--graph", sc.demo_graph_path(), "--eps", "1.1",
+                "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    text = (out / "analyze.txt").read_text()
+    # print ends the stderr report with one more newline
+    assert captured.err == text + "\n"
+    lines = text.splitlines()
+    assert "null_count(M(0)): 2" in lines
+    tau_c = [line.split(": ")[1] for line in lines if line.startswith("tau_c(1.1): ")]
+    assert tau_c == [parse_summary(captured.out)["tau_c"]]
+    assert float(tau_c[0]) == pytest.approx(0.20578301458454987, rel=1e-9)
 
 
 def test_analyze_two_node(tmp_path, capsys):
@@ -552,6 +568,24 @@ def test_sweep_tau(tmp_path, capsys):
     # the largest residual column entry, which covers the tau > 0 rows
     assert summary["max_root_residual"] == max(
         (row.split(",")[5] for row in rows[1:]), key=float)
+
+
+def test_sweep_tau_at_long_delays(tmp_path, capsys):
+    # tau * lambda reaches -7633 here; an absolute residual bound of 1e-12, below
+    # the rounding error of w e^w, refused W_0 from tau = 350 on, and the sweep
+    # reported 13 failed cells and its minimum at tau = 500
+    out = tmp_path / "sweep"
+    code = run(["sweep", "--mode", "tau", "--graph", sc.demo_graph_path(),
+                "--eps", "1.1", "--tau-range", "50:50:1000", "--out", str(out)])
+    assert code == 0
+    summary = parse_summary(capsys.readouterr().out)
+    assert summary["warnings"] == "0"
+    assert not (out / "failures.csv").exists()
+    spec = sc.spectrum(sc.build_system(sc.load_edge_list(sc.demo_graph_path()), 1.1))
+    expected = max(scipy.special.lambertw(1000.0 * spec.nonnull, k).real.max()
+                   for k in range(-2, 3)) / 1000.0
+    assert summary["argmin_tau"] == "1000"
+    assert float(summary["min_re_lambda_r"]) == pytest.approx(expected, rel=1e-9)
 
 
 def test_sweep_tau_c(tmp_path, capsys):

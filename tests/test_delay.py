@@ -8,15 +8,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import surplus_consensus as sc
-from surplus_consensus.system import NULL_TOLERANCE, Spectrum, sort_eigenvalues
+from surplus_consensus.delay import FOUR_UNIT_ROUNDOFF
+from surplus_consensus.system import NULL_TOLERANCE, Spectrum
 
 from conftest import max_nonnull_real, reference_oracle
 
 
-def make_spectrum(values):
-    vals = sort_eigenvalues(np.asarray(values, dtype=complex))
-    return Spectrum(eigenvalues=vals,
-                    null_count=int(np.sum(np.abs(vals) <= NULL_TOLERANCE)))
+def residual_bound(z, k):
+    """The residual bound lambert_w documents for W_k(z)."""
+    return max(1e-12 * min(1.0, abs(z)),
+               FOUR_UNIT_ROUNDOFF * abs(z) * (1.0 + abs(cmath.log(z) + 2j * math.pi * k)))
 
 
 # ---------------------------------------------------------------- lambert_w
@@ -92,7 +93,8 @@ def test_principal_branch_matches_scipy_and_dominates(x, y):
 
 def test_lambert_w_returns_only_a_w_that_meets_the_bound(monkeypatch):
     # with a few Halley steps the iterate is still moving: lambert_w either raises
-    # or returns a w whose own residual, not an earlier iterate's, meets the bound
+    # or returns a w whose own residual, not an earlier iterate's, meets the bound;
+    # at 2e3 - 1e4j that bound is the rounding term, 4.7e-11 to 8.0e-11
     rng = np.random.RandomState(3)
     zs = (rng.uniform(-50, 50, 40) + 1j * rng.uniform(-50, 50, 40)).tolist()
     zs += [-0.3 + 1e-3j, -0.3 - 1e-16j, 2e3 - 1e4j, 1e-10]
@@ -107,8 +109,47 @@ def test_lambert_w_returns_only_a_w_that_meets_the_bound(monkeypatch):
                     raised += 1
                     continue
                 returned += 1
-                assert abs(w * cmath.exp(w) - z) <= 1e-12 * min(1.0, abs(z))
+                assert abs(w * cmath.exp(w) - z) <= residual_bound(z, k)
     assert returned > 0 and raised > 0
+
+
+@pytest.mark.parametrize("z", [-2671.642824788762, 1e13, -1e13j, 3e3 + 4e3j])
+def test_lambert_w_large_argument_regression(z):
+    # an absolute residual bound of 1e-12 lies below the rounding error of w e^w
+    # once |z| is about 1e3, so W_0 raised NumericalFailure at the first z, the
+    # eigenvalue -7.633 of demo6's M(1.1) times tau = 350, and every branch at
+    # the third
+    for k in range(-2, 3):
+        ref = complex(scipy.special.lambertw(z, k))
+        assert abs(sc.lambert_w(z, k) - ref) <= FOUR_UNIT_ROUNDOFF * abs(ref)
+
+
+def test_lambert_w_large_arguments_match_scipy():
+    rng = np.random.RandomState(13)
+    for _ in range(500):
+        z = 10 ** rng.uniform(3, 13) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        k = rng.randint(-2, 3)
+        w = sc.lambert_w(z, k)
+        ref = complex(scipy.special.lambertw(z, k))
+        assert abs(w - ref) <= FOUR_UNIT_ROUNDOFF * abs(ref)
+        assert abs(w * cmath.exp(w) - z) <= residual_bound(z, k)
+
+
+def test_lambert_w_lower_half_plane_mirrors_the_upper():
+    # W_k(conj z) = conj W_-k(z): Im z < 0 is solved on the upper half-plane
+    rng = np.random.RandomState(17)
+    for _ in range(200):
+        z = complex(rng.uniform(-8, 8), rng.uniform(0.0, 8))
+        k = rng.randint(-2, 3)
+        assert sc.lambert_w(z.conjugate(), -k) == sc.lambert_w(z, k).conjugate()
+
+
+def test_lambert_w_just_below_the_cut():
+    # W_1 within 1e-20 below the cut (-1/e, 0) raised NumericalFailure; it is
+    # the conjugate of W_-1 just above the cut
+    z = -0.26538566651671214 - 1e-20j
+    ref = complex(scipy.special.lambertw(z, 1))
+    assert abs(sc.lambert_w(z, 1) - ref) <= 1e-12 * abs(ref)
 
 
 def test_lambert_w_real_negative_branches():
@@ -123,21 +164,21 @@ def test_lambert_w_real_negative_branches():
 # ------------------------------------------------------------- tau_critical
 
 def test_tau_critical_real_spectrum():
-    margin = sc.tau_critical(make_spectrum([0, -2, -2, -2]))
+    margin = sc.tau_critical(Spectrum([0, -2, -2, -2]))
     assert margin.tau_c == pytest.approx(math.pi / 4, abs=1e-12)
     assert margin.crossing_frequency == pytest.approx(2.0, abs=1e-12)
 
 
 def test_tau_critical_scalar():
-    margin = sc.tau_critical(make_spectrum([0, -1]))
+    margin = sc.tau_critical(Spectrum([0, -1]))
     assert margin.tau_c == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 def test_tau_critical_preconditions():
     with pytest.raises(sc.PreconditionViolated):
-        sc.tau_critical(make_spectrum([0, 0, -1]))
+        sc.tau_critical(Spectrum([0, 0, -1]))
     with pytest.raises(sc.PreconditionViolated):
-        sc.tau_critical(make_spectrum([0, 0.5, -1]))
+        sc.tau_critical(Spectrum([0, 0.5, -1]))
 
 
 def test_tau_critical_demo(demo6):
@@ -182,14 +223,14 @@ def test_tau_tilde_conservative(demo6, two_node):
 # ----------------------------------------------------------- rightmost_root
 
 def test_rightmost_root_scalar_margin():
-    spec = make_spectrum([-1.0])
+    spec = Spectrum([-1.0])
     root = sc.rightmost_root(spec, math.pi / 2)
     assert abs(root.root.real) <= 1e-9
     assert root.residual <= 1e-10
 
 
 def test_rightmost_root_scalar_small_delay():
-    spec = make_spectrum([-1.0])
+    spec = Spectrum([-1.0])
     root = sc.rightmost_root(spec, 0.1)
     # s*exp(0.1*s) = -1 has its principal root near -1.118, slightly left of
     # the undelayed eigenvalue
@@ -253,10 +294,12 @@ def test_rightmost_root_wrong_branch_cell():
 
 
 def test_rightmost_root_skips_a_failing_nonprincipal_branch(monkeypatch, demo6):
-    # within 1e-20 of the cut (-1/e, 0), lambert_w(z, 1) raised NumericalFailure and
-    # failed the whole scan, though W_1 is never rightmost
-    z = -0.26538566651671214 - 1e-20j
-    spec = make_spectrum([0.0, z, z.conjugate()])
+    # within 1e-300 of the cut (-1/e, 0), lambert_w(z, 1) raises NumericalFailure;
+    # it must not fail the whole scan, since W_1 is never rightmost
+    z = -0.16742812030682716 - 1e-300j
+    with pytest.raises(sc.NumericalFailure):
+        sc.lambert_w(z, 1)
+    spec = Spectrum([0.0, z, z.conjugate()])
     root = sc.rightmost_root(spec, 1.0).root
     expected = max((complex(scipy.special.lambertw(lam, 0)) for lam in (z, z.conjugate())),
                    key=lambda w: (w.real, w.imag))
@@ -284,9 +327,19 @@ def test_rightmost_root_skips_a_failing_nonprincipal_branch(monkeypatch, demo6):
 # ---------------------------------------------------------------- oracle
 
 def test_oracle_scalar_margin():
-    root = sc.rightmost_root_oracle(make_spectrum([-1.0]), math.pi / 2)
+    root = sc.rightmost_root_oracle(Spectrum([-1.0]), math.pi / 2)
     # of the pair s = +-i, the root with Im >= 0, as rightmost_root reports it
     assert abs(root - 1j) <= 1e-6
+
+
+def test_oracle_folds_an_eigenvalue_without_its_conjugate():
+    # the oracle folds eigenvalues to Im >= 0 instead of dropping those below:
+    # a spectrum that is not closed under conjugation keeps its roots
+    for lam in (-1 - 1j, -1 + 1j):
+        spec = Spectrum([0.0, lam])
+        orc = sc.rightmost_root_oracle(spec, 0.5)
+        lw = sc.rightmost_root(spec, 0.5).root
+        assert abs(orc - complex(lw.real, abs(lw.imag))) <= 1e-6
 
 
 def test_oracle_matches_lambert(demo6):
@@ -384,7 +437,7 @@ def test_stability_map_keeps_each_cells_whole_root(demo6):
     for a, eps in enumerate(smap.eps_grid):
         spec = sc.spectrum(sc.build_system(demo6, eps))
         # tau = 0: the matrix eigenvalue, no source index, no residual
-        assert smap.roots[a, 0] == spec.rightmost_nonnull
+        assert smap.roots[a, 0] == spec.nonnull[0]
         assert smap.source_index[a, 0] == -1 and np.isnan(smap.residual[a, 0])
         for b in (1, 2):
             root = sc.rightmost_root(spec, smap.tau_grid[b])

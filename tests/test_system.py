@@ -160,3 +160,67 @@ def test_find_eps_bar_no_admissible():
     with pytest.raises(sc.NoAdmissibleEpsilon):
         sc.find_eps_bar(ring, [2.0, 5.0])
 
+
+
+# ----------------------------------------------------------------- Spectrum
+
+def test_spectrum_sorts_and_splits_the_values_it_is_given():
+    spec = sc.Spectrum([-1.0, 3e-10j, -2 - 1j, 0.5, -2 + 1j, 2e-9])
+    assert spec.eigenvalues.tolist() == [0.5, 2e-9, 3e-10j, -1, -2 + 1j, -2 - 1j]
+    # 3e-10j is within NULL_TOLERANCE of 0, 2e-9 is not
+    assert spec.null_count == 1
+    assert spec.nonnull_index.tolist() == [0, 1, 3, 4, 5]
+    assert spec.nonnull.tolist() == [0.5, 2e-9, -1, -2 + 1j, -2 - 1j]
+
+
+def test_spectrum_takes_the_eigenvalues_alone():
+    with pytest.raises(TypeError):
+        sc.Spectrum(np.array([0.0, -1.0]), null_count=1)
+
+
+def test_spectrum_without_nonnull_eigenvalue_raises_once_for_all():
+    spec = sc.Spectrum([1e-10, 0.0])
+    assert spec.null_count == 2
+    for read in (lambda: spec.nonnull, lambda: sc.rightmost_root(spec, 0.1),
+                 lambda: sc.rightmost_root_oracle(spec, 0.1)):
+        with pytest.raises(sc.PreconditionViolated) as info:
+            read()
+        assert str(info.value) == "spectrum has no non-null eigenvalue"
+
+
+@pytest.mark.parametrize("values, message", [
+    ([0, 0, -1], "expected exactly one null eigenvalue, found 2"),
+    ([-1, 0.5, 0], "a non-null eigenvalue has non-negative real part"),
+    ([0, -1, 2j, -2j], "a non-null eigenvalue has non-negative real part"),
+    ([0], "spectrum has no non-null eigenvalue"),
+])
+def test_require_admissible(values, message):
+    spec = sc.Spectrum(values)
+    for check in (spec.require_admissible, lambda: sc.tau_critical(spec)):
+        with pytest.raises(sc.PreconditionViolated) as info:
+            check()
+        assert str(info.value) == message
+    sc.Spectrum([-1e-10, -1, -2 + 1j, -2 - 1j]).require_admissible()
+
+
+def test_find_eps_bar_admits_exactly_where_tau_critical_returns(demo6):
+    # one admissibility rule: find_eps_bar accepts a one-point grid iff
+    # tau_critical has a margin there; the 6-cycle loses stability below 2
+    ring = sc.build_graph(6, [(i, i % 6 + 1) for i in range(1, 7)])
+    grid = [0.0, 1e-12, 1e-10, 1e-9, 3e-9, 1e-8] + np.round(
+        np.arange(0.05, 3.0001, 0.05), 10).tolist()
+    for g in (demo6, ring):
+        admitted = []
+        for eps in grid:
+            try:
+                sc.tau_critical(sc.spectrum(sc.build_system(g, eps)))
+                has_margin = True
+            except sc.PreconditionViolated:
+                has_margin = False
+            try:
+                accepted = sc.find_eps_bar(g, [eps]) == eps
+            except sc.NoAdmissibleEpsilon:
+                accepted = False
+            assert accepted == has_margin, eps
+            admitted.append(accepted)
+        assert True in admitted and False in admitted
