@@ -43,7 +43,8 @@ class RightmostRoot:
     residual: float
 
 
-@dataclass(frozen=True)
+# == is identity: the generated == compares ndarray fields and raises
+@dataclass(frozen=True, eq=False)
 class StabilityMap:
     eps_grid: np.ndarray
     tau_grid: np.ndarray

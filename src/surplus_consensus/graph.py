@@ -39,7 +39,8 @@ class DegreeProfile:
     delta_bar: int
 
 
-@dataclass(frozen=True)
+# == is identity: the generated == compares ndarray fields and raises
+@dataclass(frozen=True, eq=False)
 class LaplacianPair:
     """l_in = D_in - A (zero row sums), l_out = D_out - A (zero column sums)."""
 

@@ -1,6 +1,7 @@
 """Simulation of the delayed network dynamics with consensus metrics."""
 
 import contextlib
+import os
 import random
 from dataclasses import dataclass
 
@@ -20,7 +21,8 @@ MAX_SEED = 2**32 - 1
 MAX_STATE_VALUES = 10**8
 
 
-@dataclass(frozen=True)
+# == is identity: the generated == compares ndarray fields and raises
+@dataclass(frozen=True, eq=False)
 class SimConfig:
     tau: float
     x0: np.ndarray
@@ -73,7 +75,8 @@ class SimConfig:
         return x0, z0, float(dt), delay_steps, nsteps
 
 
-@dataclass(frozen=True)
+# == is identity: the generated == compares ndarray fields and raises
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     times: np.ndarray
     final_state: np.ndarray  # the 2n values (x, z) of the last sample
@@ -99,7 +102,9 @@ def simulate(m, cfg, csv_path=None):
     Of the states, only the last row is kept, as final_state. With csv_path,
     every row goes to the trajectory CSV there, one delay window at a time as
     the run goes: a header line, then one row per sample, t, x, z, error and
-    drift, each formatted "%.17g".
+    drift, each formatted "%.17g". One forked helper process formats every
+    other block of CSV_BLOCK_ROWS rows (see _csv_lanes); it is reaped before
+    simulate returns or raises.
     """
     x0, z0, dt, delay_steps, nsteps = cfg.resolved()
     n = x0.size
@@ -121,12 +126,15 @@ def simulate(m, cfg, csv_path=None):
         x = rows[:, :n]
         err[k] = np.maximum(x.max(axis=1) - target, target - x.min(axis=1))
         drift[k] = np.abs(rows.sum(axis=1) - total0)
-        if fh is not None:
-            _write_rows(fh, times[k], rows, err[k], drift[k])
+        if write is not None:
+            _write_rows(write, times[k], rows, err[k], drift[k])
 
-    with (open(csv_path, "w") if csv_path is not None else contextlib.nullcontext()) as fh:
-        if fh is not None:
+    with contextlib.ExitStack() as stack:
+        write = None
+        if csv_path is not None:
+            fh = stack.enter_context(open(csv_path, "w"))
             fh.write(_csv_header(n))
+            write = stack.enter_context(_csv_lanes(fh, 2 * n + 3))
         block, last = _integrator.integrate_delayed(
             mat, y0, delay_steps, nsteps, dt, DIVERGENCE_THRESHOLD, take)
     times, err, drift = times[:last + 1], err[:last + 1], drift[:last + 1]
@@ -174,14 +182,94 @@ def _csv_header(n):
                     + ["consensus_error", "conservation_drift"]) + "\n"
 
 
-def _write_rows(fh, times, states, err, drift):
-    """Write one CSV row per sample, t, x, z, error and drift, each formatted
-    "%.17g": the bytes of np.savetxt, formatted CSV_BLOCK_ROWS rows at a time
-    so that no copy of the rows given is built."""
-    row_fmt = ",".join(["%.17g"] * (states.shape[1] + 3)) + "\n"
+def _write_rows(write, times, states, err, drift):
+    """Pass write the CSV rows of the samples given, t, x, z, error and drift,
+    CSV_BLOCK_ROWS rows at a time, so that no copy of all the rows is built."""
     for i in range(0, times.size, CSV_BLOCK_ROWS):
         rows = slice(i, i + CSV_BLOCK_ROWS)
-        block = np.hstack([times[rows, None], states[rows], err[rows, None],
-                           drift[rows, None]])
-        fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
+        write(np.hstack([times[rows, None], states[rows], err[rows, None],
+                         drift[rows, None]]))
 
+
+def _format_rows(block):
+    """The CSV text of a block's rows, each value formatted "%.17g": the bytes
+    of np.savetxt."""
+    row_fmt = ",".join(["%.17g"] * block.shape[1]) + "\n"
+    return (row_fmt * block.shape[0]) % tuple(block.ravel().tolist())
+
+
+@contextlib.contextmanager
+def _csv_lanes(fh, columns):
+    """Yield write(block), which writes the rows of each block it is given to
+    fh, in order, formatted on two cores.
+
+    The blocks alternate between two lanes: this process formats the even
+    ones, and one forked helper the odd ones. An odd block's text comes back
+    while this process formats the even block after it, and is written first;
+    only then can the next odd block be sent, so at most one block is in
+    flight. On exit, by any path, the pipe is closed and the helper reaped.
+    In a daemonic process, such as a multiprocessing.Pool worker, which
+    multiprocessing allows no children, this process formats every block."""
+    # imported here: cli imports this module, and only a run that writes a
+    # CSV should pay for the multiprocessing import
+    import multiprocessing
+
+    if multiprocessing.current_process().daemon:
+        yield lambda block: fh.write(_format_rows(block))
+        return
+    ctx = multiprocessing.get_context("fork")
+    conn, helper_conn = ctx.Pipe()
+    helper = ctx.Process(target=_format_lane, args=(helper_conn, conn, columns))
+    try:
+        helper.start()
+    except BaseException:
+        conn.close()
+        raise
+    finally:
+        helper_conn.close()
+    written = 0
+
+    def write(block):
+        nonlocal written
+        if written % 2:
+            conn.send_bytes(block.tobytes())
+        else:
+            text = _format_rows(block)
+            if written:
+                fh.write(conn.recv_bytes().decode("ascii"))
+            fh.write(text)
+        written += 1
+
+    try:
+        yield write
+        if written and written % 2 == 0:
+            fh.write(conn.recv_bytes().decode("ascii"))
+    finally:
+        # the helper sees EOF, or a broken pipe if it was sending, and exits
+        conn.close()
+        helper.join()
+        helper.close()
+
+
+def _format_lane(conn, parent_conn, columns):
+    """The helper's loop: format each block received on conn and send its text
+    back, until EOF. It ignores SIGINT, which the parent handles, and leaves
+    through os._exit, so that nothing inherited, such as a buffered file, is
+    flushed twice."""
+    import signal  # loaded with multiprocessing; at the top, cli's import would pay for it
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    code = 1
+    try:
+        parent_conn.close()
+        while True:
+            try:
+                data = conn.recv_bytes()
+            except EOFError:
+                break
+            block = np.frombuffer(data).reshape(-1, columns)
+            conn.send_bytes(_format_rows(block).encode("ascii"))
+        code = 0
+    finally:
+        conn.close()
+        os._exit(code)

@@ -26,7 +26,8 @@ NULL_TOLERANCE = 1e-9
 NULL_VECTOR_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
+# == is identity: the generated == compares ndarray fields and raises
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigenvalues, given in any order and kept sorted by descending real part
     (ties: descending imaginary), split at NULL_TOLERANCE into the null ones
@@ -65,7 +66,8 @@ class Spectrum:
             raise PreconditionViolated("a non-null eigenvalue has non-negative real part")
 
 
-@dataclass(frozen=True)
+# == is identity: the generated == compares ndarray fields and raises
+@dataclass(frozen=True, eq=False)
 class NullEigenvectors:
     """Unit-1-norm positive null vectors: left of L_in, right of L_out."""
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,19 @@ from surplus_consensus.delay import chebyshev_nodes_diff
 
 # the full generator's null eigenvalue carries ~100 times the rounding of M(eps)'s
 REFERENCE_NULL_TOLERANCE = 1e-7
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_child_process():
+    """Fail a test that leaves a child process running or unreaped: every
+    simulate with a CSV forks a helper, which must be reaped before it returns."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return  # no child at all
+    pytest.fail("the test left a child process %s" % ("running" if pid == 0 else
+                                                       "unreaped, pid %d" % pid))
 
 
 @pytest.fixture(scope="session")

@@ -224,3 +224,25 @@ def test_find_eps_bar_admits_exactly_where_tau_critical_returns(demo6):
             assert accepted == has_margin, eps
             admitted.append(accepted)
         assert True in admitted and False in admitted
+
+
+ARRAY_DATACLASSES = {
+    "LaplacianPair": lambda g: sc.laplacians(g),
+    "Spectrum": lambda g: sc.spectrum(sc.build_system(g, 1.3)),
+    "NullEigenvectors": lambda g: sc.null_eigenvectors(g),
+    "SimConfig": lambda g: sc.SimConfig(tau=0.2, x0=np.arange(g.n, dtype=float)),
+    "Trajectory": lambda g: sc.simulate(
+        sc.build_system(g, 1.3), sc.SimConfig(tau=0.2, x0=np.arange(g.n, dtype=float),
+                                              t_final=0.4)),
+    # more than one cell: the generated == raised on any array of two or more
+    "StabilityMap": lambda g: sc.stability_map(g, [0.5, 1.3], [0.0, 0.1]),
+}
+
+
+@pytest.mark.parametrize("kind", list(ARRAY_DATACLASSES))
+def test_array_dataclasses_compare_without_raising(demo6, kind):
+    a, b = ARRAY_DATACLASSES[kind](demo6), ARRAY_DATACLASSES[kind](demo6)
+    assert type(a).__name__ == kind
+    assert a == a and not a != a
+    # equal values, distinct instances: == is identity, and defined
+    assert (a == b) is False and (a != b) is True
