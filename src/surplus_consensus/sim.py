@@ -207,48 +207,58 @@ def _csv_lanes(fh, columns):
     ones, and one forked helper the odd ones. An odd block's text comes back
     while this process formats the even block after it, and is written first;
     only then can the next odd block be sent, so at most one block is in
-    flight. On exit, by any path, the pipe is closed and the helper reaped.
-    In a daemonic process, such as a multiprocessing.Pool worker, which
-    multiprocessing allows no children, this process formats every block."""
-    # imported here: cli imports this module, and only a run that writes a
-    # CSV should pay for the multiprocessing import
-    import multiprocessing
+    flight. On exit, by any path, the pipe is closed and the helper reaped. If
+    the helper is gone before its work is done, write raises a RuntimeError
+    that gives its exit code."""
+    # imported here: cli imports this module, and only a CSV run should pay for it
+    from multiprocessing.connection import Pipe
 
-    if multiprocessing.current_process().daemon:
-        yield lambda block: fh.write(_format_rows(block))
-        return
-    ctx = multiprocessing.get_context("fork")
-    conn, helper_conn = ctx.Pipe()
-    helper = ctx.Process(target=_format_lane, args=(helper_conn, conn, columns))
+    conn, helper_conn = Pipe()
     try:
-        helper.start()
+        pid = os.fork()
     except BaseException:
         conn.close()
-        raise
-    finally:
         helper_conn.close()
-    written = 0
+        raise
+    if pid == 0:
+        _format_lane(helper_conn, conn, columns)  # leaves through os._exit
+    helper_conn.close()
+    written, exit_code = 0, None
+
+    def reap():
+        nonlocal exit_code
+        if exit_code is None:
+            exit_code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        return exit_code
+
+    def exchange(call, *args):
+        # conn's call, which fails only when the helper has closed its end
+        try:
+            return call(*args)
+        except (EOFError, ConnectionError) as error:
+            conn.close()
+            raise RuntimeError("the CSV formatting helper, pid %d, exited early "
+                               "with code %d" % (pid, reap())) from error
 
     def write(block):
         nonlocal written
         if written % 2:
-            conn.send_bytes(block.tobytes())
+            exchange(conn.send_bytes, block.tobytes())
         else:
             text = _format_rows(block)
             if written:
-                fh.write(conn.recv_bytes().decode("ascii"))
+                fh.write(exchange(conn.recv_bytes).decode("ascii"))
             fh.write(text)
         written += 1
 
     try:
         yield write
         if written and written % 2 == 0:
-            fh.write(conn.recv_bytes().decode("ascii"))
+            fh.write(exchange(conn.recv_bytes).decode("ascii"))
     finally:
         # the helper sees EOF, or a broken pipe if it was sending, and exits
         conn.close()
-        helper.join()
-        helper.close()
+        reap()
 
 
 def _format_lane(conn, parent_conn, columns):
@@ -256,7 +266,7 @@ def _format_lane(conn, parent_conn, columns):
     back, until EOF. It ignores SIGINT, which the parent handles, and leaves
     through os._exit, so that nothing inherited, such as a buffered file, is
     flushed twice."""
-    import signal  # loaded with multiprocessing; at the top, cli's import would pay for it
+    import signal  # loaded by multiprocessing.connection; at the top, cli would pay for it
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     code = 1

@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 import re
+import signal
 import tracemalloc
 from multiprocessing.connection import Connection
 
@@ -437,8 +438,8 @@ def simulate_demo6(csv_path):
 
 
 def test_simulate_in_a_daemonic_worker_writes_the_same_csv(tmp_path):
-    # a Pool worker is daemonic, and multiprocessing refuses it a helper: it
-    # formats every block itself
+    # a Pool worker is daemonic, and multiprocessing.Process refuses it
+    # children; the helper is a plain fork, which it may start
     with multiprocessing.get_context("fork").Pool(1) as pool:
         pool.apply(simulate_demo6, (str(tmp_path / "worker.csv"),))
     simulate_demo6(str(tmp_path / "here.csv"))
@@ -465,6 +466,37 @@ def test_csv_write_error_raises_and_reaps_the_helper(demo6):
     with pytest.raises(OSError):
         sc.simulate(sc.build_system(demo6, 1.3), cfg, "/dev/full")
     assert_no_child_process()
+
+
+def test_a_helper_gone_early_raises_with_its_exit_code(tmp_path, demo6, monkeypatch):
+    parent, format_rows = os.getpid(), sim._format_rows
+
+    def dies_in_the_helper(block):
+        if os.getpid() != parent:
+            os._exit(3)
+        return format_rows(block)
+
+    monkeypatch.setattr(sim, "_format_rows", dies_in_the_helper)
+    cfg = sc.SimConfig(tau=0.2, x0=seeded_x0(0, 6), t_final=40.0)
+    with pytest.raises(RuntimeError, match="helper, pid [0-9]+, exited early with code 3"):
+        sc.simulate(sc.build_system(demo6, 1.3), cfg, str(tmp_path / "traj.csv"))
+    assert_no_child_process()
+
+
+def test_the_helper_ignores_sigint(tmp_path, monkeypatch):
+    # a Ctrl-C reaches the whole process group; simulate's process handles it
+    parent, format_rows = os.getpid(), sim._format_rows
+
+    def interrupted_in_the_helper(block):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGINT)
+        return format_rows(block)
+
+    monkeypatch.setattr(sim, "_format_rows", interrupted_in_the_helper)
+    simulate_demo6(str(tmp_path / "interrupted.csv"))
+    monkeypatch.undo()
+    simulate_demo6(str(tmp_path / "quiet.csv"))
+    assert (tmp_path / "interrupted.csv").read_bytes() == (tmp_path / "quiet.csv").read_bytes()
 
 
 def test_interrupt_with_a_block_in_flight_reaps_the_helper(tmp_path, demo6, monkeypatch):
