@@ -73,9 +73,9 @@ def lambert_w(z, k=0):
     FOUR_UNIT_ROUNDOFF |z| (1 + |Log z + 2 pi i k|)): relative for tiny |z|, where
     any w with Re w << 0 meets an absolute bound, and the rounding error of w e^w,
     |w| ~ |Log z + 2 pi i k|, for large |z|. A start point that diverges or lands
-    on another branch is followed by the next. On real z in [-1/e, 0) both real
-    branches have unwinding number 0, so W_-1 is exempt. Im z < 0 is solved as
-    conj W_-k(conj z); a signed zero Im z is ignored: a cut takes the value from above.
+    on another branch is followed by the next. Within Im z <= 4u |z| of the cut
+    [-1/e, 0) both real branches have unwinding number 0, so W_-1 is exempt.
+    Im z < 0 is solved as conj W_-k(conj z); a signed zero Im z takes the value from above.
     """
     z = complex(z) + 0.0
     k = int(k)
@@ -85,7 +85,8 @@ def lambert_w(z, k=0):
         raise NumericalFailure("branch %d of W is singular at z = 0" % k)
     lower = z.imag < 0
     zu, ku = (z.conjugate(), -k) if lower else (z, k)
-    real_branch = ku == -1 and zu.imag == 0 and -1.0 / math.e <= zu.real < 0
+    real_branch = (ku == -1 and zu.imag <= FOUR_UNIT_ROUNDOFF * abs(zu)
+                   and -1.0 / math.e <= zu.real < 0)
     log_z = cmath.log(zu)
     two_pi_k = 2.0 * math.pi * ku
     log_zk = log_z + two_pi_k * 1j

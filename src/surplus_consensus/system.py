@@ -21,7 +21,6 @@ from .errors import (
     require_non_negative,
 )
 
-NULL_TOLERANCE = 1e-9
 # the most negative entry and the largest residual norm a null vector may have
 NULL_VECTOR_TOLERANCE = 1e-9
 
@@ -29,9 +28,9 @@ NULL_VECTOR_TOLERANCE = 1e-9
 # == is identity: the generated == compares ndarray fields and raises
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Eigenvalues, given in any order and kept sorted by descending real part
-    (ties: descending imaginary), split at NULL_TOLERANCE into the null ones
-    and the rest."""
+    """Eigenvalues, given in any order, sorted by descending real part (ties:
+    descending imaginary) and split into null and non-null at 8 m u max(1, max |lambda|)
+    for m values, u = 2^-53: 1^T M = 0 bounds the conserved zero's condition by sqrt(m)."""
 
     eigenvalues: np.ndarray
 
@@ -41,8 +40,8 @@ class Spectrum:
 
     @property
     def nonnull_index(self):
-        """Positions of the non-null eigenvalues, |lambda| > NULL_TOLERANCE."""
-        return np.flatnonzero(np.abs(self.eigenvalues) > NULL_TOLERANCE)
+        mag = np.abs(self.eigenvalues)
+        return np.flatnonzero(mag > 8 * mag.size * 2.0 ** -53 * max(1.0, mag.max(initial=0)))
 
     @property
     def null_count(self):

@@ -7,7 +7,7 @@ import surplus_consensus as sc
 from surplus_consensus.delay import chebyshev_nodes_diff
 
 # the full generator's null eigenvalue carries ~100 times the rounding of M(eps)'s
-REFERENCE_NULL_TOLERANCE = 1e-7
+REFERENCE_NULL_CUTOFF = 1e-7
 
 
 @pytest.fixture(autouse=True)
@@ -69,4 +69,4 @@ def reference_oracle(m, tau, discretization_order=30):
     # boundary row at theta = 0: dy/dt = M y(-tau); the delay lands on the last node
     gen[:dim, dim * order:] = m
     vals = sc.Spectrum(np.linalg.eigvals(gen)).eigenvalues  # sorted, rightmost first
-    return complex(vals[np.abs(vals) > REFERENCE_NULL_TOLERANCE][0])
+    return complex(vals[np.abs(vals) > REFERENCE_NULL_CUTOFF][0])

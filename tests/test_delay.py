@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import surplus_consensus as sc
 from surplus_consensus.delay import FOUR_UNIT_ROUNDOFF
-from surplus_consensus.system import NULL_TOLERANCE, Spectrum
+from surplus_consensus.system import Spectrum
 
 from conftest import max_nonnull_real, reference_oracle
 
@@ -258,9 +258,7 @@ def test_rightmost_root_residual_and_dominance(demo6):
         best = sc.rightmost_root(spec, tau)
         assert best.residual <= 1e-10
         # no scanned candidate beats the returned root
-        for lam in spec.eigenvalues:
-            if abs(lam) <= NULL_TOLERANCE:
-                continue
+        for lam in spec.nonnull:
             for k in range(-2, 3):
                 s = sc.lambert_w(tau * complex(lam), k) / tau
                 assert s.real <= best.root.real + 1e-9
@@ -294,11 +292,12 @@ def test_rightmost_root_wrong_branch_cell():
 
 
 def test_rightmost_root_skips_a_failing_nonprincipal_branch(monkeypatch, demo6):
-    # within 1e-300 of the cut (-1/e, 0), lambert_w(z, 1) raises NumericalFailure;
-    # it must not fail the whole scan, since W_1 is never rightmost
+    # within 1e-300 of the cut (-1/e, 0), W_1 below it and W_-1 above it are the
+    # real W_-1 to rounding, and take its exemption from the unwinding-number test
     z = -0.16742812030682716 - 1e-300j
-    with pytest.raises(sc.NumericalFailure):
-        sc.lambert_w(z, 1)
+    for zk, k in ((z, 1), (z.conjugate(), -1)):
+        w = sc.lambert_w(zk, k)
+        assert abs(w - complex(scipy.special.lambertw(zk, k))) <= 1e-12 * abs(w)
     spec = Spectrum([0.0, z, z.conjugate()])
     root = sc.rightmost_root(spec, 1.0).root
     expected = max((complex(scipy.special.lambertw(lam, 0)) for lam in (z, z.conjugate())),
@@ -422,6 +421,17 @@ def test_stability_map_consistency(demo6):
     assert smap.max_root_residual == max(
         sc.rightmost_root(sc.spectrum(sc.build_system(demo6, eps)), tau).residual
         for eps in eps_grid for tau in tau_grid[1:])
+
+
+def test_stability_map_keeps_lambda2_at_tiny_eps(demo6):
+    # lambda_2 ~ lambda2_slope * eps is the slow mode: at eps <= 1e-9 it must not
+    # be split off as a second null and leave another root in its place
+    slope = sc.lambda2_slope(demo6)
+    smap = sc.stability_map(demo6, [1e-10, 1e-9], [0.0, 0.2])
+    assert smap.failures == []
+    for a, eps in enumerate(smap.eps_grid):
+        for b in range(2):
+            assert abs(smap.roots[a, b] - slope * eps) <= 1e-3 * abs(slope * eps)
 
 
 def test_stability_map_lists_cells_without_nonnull_eigenvalue():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import surplus_consensus as sc
-from surplus_consensus.system import NULL_TOLERANCE
 
 from conftest import max_nonnull_real
 
@@ -50,7 +49,7 @@ def test_spectrum_two_node_eps0(two_node):
 def test_spectrum_demo_eps0(demo6):
     spec = sc.spectrum(sc.build_system(demo6, 0.0))
     assert spec.null_count == 2
-    nonnull = spec.eigenvalues[np.abs(spec.eigenvalues) > NULL_TOLERANCE]
+    nonnull = spec.nonnull
     assert nonnull.size == 10
     assert np.all(nonnull.real < 0)
 
@@ -137,6 +136,27 @@ def test_lambda2_slope_taylor(demo6, two_node):
             assert abs(lam2 / eps - slope) <= 0.1 * abs(slope)
 
 
+def small_eps_graphs():
+    """90 random strongly connected digraphs, n 2..10, with a random number of extra edges."""
+    for n in range(2, 11):
+        for seed in range(10):
+            extra = np.random.RandomState(1000 * n + seed).randint(0, n * (n - 1) - n + 1)
+            yield sc.random_strongly_connected(n, int(extra), seed=seed)
+
+
+def test_null_split_holds_at_small_eps():
+    # the split scales with rounding, so lambda_2 ~ lambda2_slope * eps stays
+    # non-null far below eps = 1e-9, and M(0) keeps both nulls
+    for g in small_eps_graphs():
+        for eps, nulls in [(0.0, 2), (1e-12, 1), (1e-10, 1), (1e-9, 1), (1e-8, 1)]:
+            assert sc.spectrum(sc.build_system(g, eps)).null_count == nulls, (g.n, eps)
+        spec = sc.spectrum(sc.build_system(g, 1e-10))
+        slope = sc.lambda2_slope(g)
+        assert abs(spec.nonnull[0] / 1e-10 - slope) <= 1e-3 * abs(slope)
+        assert sc.tau_critical(spec).tau_c > 0
+        assert sc.find_eps_bar(g, [1e-10]) == 1e-10
+
+
 def test_lambda1_stays_null(demo6):
     for eps in [0.1, 0.7, 1.3]:
         spec = sc.spectrum(sc.build_system(demo6, eps))
@@ -165,9 +185,9 @@ def test_find_eps_bar_no_admissible():
 # ----------------------------------------------------------------- Spectrum
 
 def test_spectrum_sorts_and_splits_the_values_it_is_given():
-    spec = sc.Spectrum([-1.0, 3e-10j, -2 - 1j, 0.5, -2 + 1j, 2e-9])
-    assert spec.eigenvalues.tolist() == [0.5, 2e-9, 3e-10j, -1, -2 + 1j, -2 - 1j]
-    # 3e-10j is within NULL_TOLERANCE of 0, 2e-9 is not
+    spec = sc.Spectrum([-1.0, 1e-17j, -2 - 1j, 0.5, -2 + 1j, 2e-9])
+    assert spec.eigenvalues.tolist() == [0.5, 2e-9, 1e-17j, -1, -2 + 1j, -2 - 1j]
+    # the split is 8 m u max(1, max |lambda|) = 1.2e-14 here: 1e-17j is null, 2e-9 is not
     assert spec.null_count == 1
     assert spec.nonnull_index.tolist() == [0, 1, 3, 4, 5]
     assert spec.nonnull.tolist() == [0.5, 2e-9, -1, -2 + 1j, -2 - 1j]
@@ -179,7 +199,7 @@ def test_spectrum_takes_the_eigenvalues_alone():
 
 
 def test_spectrum_without_nonnull_eigenvalue_raises_once_for_all():
-    spec = sc.Spectrum([1e-10, 0.0])
+    spec = sc.Spectrum([1e-17, 0.0])
     assert spec.null_count == 2
     for read in (lambda: spec.nonnull, lambda: sc.rightmost_root(spec, 0.1),
                  lambda: sc.rightmost_root_oracle(spec, 0.1)):
@@ -200,7 +220,7 @@ def test_require_admissible(values, message):
         with pytest.raises(sc.PreconditionViolated) as info:
             check()
         assert str(info.value) == message
-    sc.Spectrum([-1e-10, -1, -2 + 1j, -2 - 1j]).require_admissible()
+    sc.Spectrum([-1e-17, -1, -2 + 1j, -2 - 1j]).require_admissible()
 
 
 def test_find_eps_bar_admits_exactly_where_tau_critical_returns(demo6):
