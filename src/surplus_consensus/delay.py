@@ -28,6 +28,11 @@ ORACLE_ORDER = 30  # Chebyshev collocation order: 31 x 31 scalar generators
 BISECTION_REL_TOL = 1e-9
 BISECTION_MAX_ITER = 200
 
+# the branches lambert_w solved for the last argument, {z folded to Im z >= 0:
+# {branch: w}}: the call for a conjugate eigenvalue finds its mirror's; a dict of
+# dicts, so that two threads calling at once lose a branch at worst
+_mirror = {}
+
 
 @dataclass(frozen=True)
 class DelayMargin:
@@ -76,6 +81,9 @@ def lambert_w(z, k=0):
     on another branch is followed by the next. Within Im z <= 4u |z| of the cut
     [-1/e, 0) both real branches have unwinding number 0, so W_-1 is exempt.
     Im z < 0 is solved as conj W_-k(conj z); a signed zero Im z takes the value from above.
+    So W_k(conj z) = conj W_-k(z) is one solve: the branches of the last argument
+    folded to Im z >= 0 are kept, and the mirror call returns the kept w, bit for
+    bit what a fresh solve gives. A new argument drops them; a failure is not kept.
     """
     z = complex(z) + 0.0
     k = int(k)
@@ -85,6 +93,13 @@ def lambert_w(z, k=0):
         raise NumericalFailure("branch %d of W is singular at z = 0" % k)
     lower = z.imag < 0
     zu, ku = (z.conjugate(), -k) if lower else (z, k)
+    branches = _mirror.get(zu)
+    if branches is None:
+        _mirror.clear()
+        branches = _mirror[zu] = {}
+    elif ku in branches:
+        w = branches[ku]
+        return w.conjugate() if lower else w
     real_branch = (ku == -1 and zu.imag <= FOUR_UNIT_ROUNDOFF * abs(zu)
                    and -1.0 / math.e <= zu.real < 0)
     log_z = cmath.log(zu)
@@ -112,18 +127,21 @@ def lambert_w(z, k=0):
             continue
         if abs(f) <= bound and (
                 real_branch or abs((w + cmath.log(w) - log_z).imag - two_pi_k) < math.pi):
+            branches[ku] = w
             return w.conjugate() if lower else w
     raise NumericalFailure("Lambert W branch %d failed to converge for z = %r" % (k, z))
 
 
 def _start_points(z, k, real_branch, log_zk):
     """Initial guesses for branch k at z, best first; log_zk is Log z + 2 pi i k."""
-    if k == 0 and abs(z) <= 1.0 / math.e:
-        yield z * (1.0 - z + 1.5 * z * z)
-    elif k in (0, -1) and abs(p2 := 2.0 * (math.e * z + 1.0)) < 0.8:
-        # series around the branch point at -1/e
+    if k in (0, -1) and abs(p2 := 2.0 * (math.e * z + 1.0)) < 0.8:
+        # series around the branch point at -1/e, first: near this double root the
+        # residual is quadratic in the error of w, so a start point that Halley
+        # has to move stops about sqrt(bound) from the root
         p = -cmath.sqrt(p2) if k == -1 else cmath.sqrt(p2)
         yield -1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p * p * p
+    elif k == 0 and abs(z) <= 1.0 / math.e:
+        yield z * (1.0 - z + 1.5 * z * z)
     elif real_branch:
         ln = math.log(-z.real)
         yield complex(ln - math.log(-ln))
@@ -189,7 +207,8 @@ def rightmost_root(spec, tau):
     the scan to W_0 waits on the benchmark's call-count figures (ROADMAP item 1).
     So a branch k != 0 that raises NumericalFailure is skipped, and only a W_0
     failure fails the scan. The null eigenvalue contributes only s = 0 and is
-    excluded.
+    excluded. The spectrum lists a conjugate pair side by side, so lambert_w
+    answers the second eigenvalue's five branches from the first's.
     """
     _require_positive_delay(tau)
     best, best_re, best_im = None, -math.inf, -math.inf

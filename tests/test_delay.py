@@ -14,6 +14,16 @@ from surplus_consensus.system import Spectrum
 from conftest import max_nonnull_real, reference_oracle
 
 
+def fresh_lambert_w(z, k):
+    """lambert_w(z, k) solved from scratch: nothing kept from an earlier call."""
+    sc.delay._mirror.clear()
+    return sc.lambert_w(z, k)
+
+
+def bits(w):
+    return w.real.hex(), w.imag.hex()
+
+
 def residual_bound(z, k):
     """The residual bound lambert_w documents for W_k(z)."""
     return max(1e-12 * min(1.0, abs(z)),
@@ -101,6 +111,8 @@ def test_lambert_w_returns_only_a_w_that_meets_the_bound(monkeypatch):
     returned = raised = 0
     for max_iter in range(4):
         monkeypatch.setattr(sc.delay, "LAMBERT_W_MAX_ITER", max_iter)
+        # a branch kept from another cap must not answer, nor one from this cap outlive it
+        monkeypatch.setattr(sc.delay, "_mirror", {})
         for z in zs:
             for k in range(-2, 3):
                 try:
@@ -136,12 +148,84 @@ def test_lambert_w_large_arguments_match_scipy():
 
 
 def test_lambert_w_lower_half_plane_mirrors_the_upper():
-    # W_k(conj z) = conj W_-k(z): Im z < 0 is solved on the upper half-plane
+    # W_k(conj z) = conj W_-k(z): Im z < 0 is solved on the upper half-plane, and
+    # the second call of a mirror pair, in either order, takes the first one's w
+    # yet gives each argument, bit for bit, what a fresh solve of it gives
     rng = np.random.RandomState(17)
     for _ in range(200):
         z = complex(rng.uniform(-8, 8), rng.uniform(0.0, 8))
         k = rng.randint(-2, 3)
-        assert sc.lambert_w(z.conjugate(), -k) == sc.lambert_w(z, k).conjugate()
+        pair = [(z, k), (z.conjugate(), -k)]
+        expected = {arg: bits(fresh_lambert_w(*arg)) for arg in pair}
+        assert sc.lambert_w(*pair[1]) == sc.lambert_w(*pair[0]).conjugate()
+        for order in (pair, pair[::-1]):
+            sc.delay._mirror.clear()
+            for arg in order:
+                assert bits(sc.lambert_w(*arg)) == expected[arg]
+            assert list(sc.delay._mirror) == [z] and list(sc.delay._mirror[z]) == [k]
+
+
+def test_lambert_w_does_not_keep_a_failed_branch(monkeypatch):
+    # with no Halley step no start point at z meets the bound: the failure is not
+    # kept, so the mirror call fails too, and once the cap is back it is solved
+    z, k, cap = 1.5 + 2.5j, 0, sc.delay.LAMBERT_W_MAX_ITER
+    for first, mirror in (((z, k), (z.conjugate(), -k)), ((z.conjugate(), -k), (z, k))):
+        monkeypatch.setattr(sc.delay, "LAMBERT_W_MAX_ITER", 0)
+        monkeypatch.setattr(sc.delay, "_mirror", {})
+        for arg in (first, mirror):
+            with pytest.raises(sc.NumericalFailure):
+                sc.lambert_w(*arg)
+        assert list(sc.delay._mirror.values()) == [{}]
+        monkeypatch.setattr(sc.delay, "LAMBERT_W_MAX_ITER", cap)
+        w = sc.lambert_w(*mirror)
+        assert bits(w) == bits(fresh_lambert_w(*mirror))
+        assert abs(w * cmath.exp(w) - mirror[0]) <= residual_bound(*mirror)
+
+
+def test_lambert_w_solves_an_argument_one_ulp_away_anew(monkeypatch):
+    monkeypatch.setattr(sc.delay, "_mirror", {})
+    z, k = 1.5 + 2.5j, -1
+    near = complex(math.nextafter(z.real, math.inf), z.imag)
+    assert bits(fresh_lambert_w(near, k)) != bits(fresh_lambert_w(z, k))
+    for arg in ((near, k), (near.conjugate(), -k)):
+        sc.delay._mirror.clear()
+        sc.lambert_w(z, k)
+        assert bits(sc.lambert_w(*arg)) == bits(fresh_lambert_w(*arg))
+        # the new argument's branch replaced the old one's
+        sc.lambert_w(z, k)
+        assert list(sc.delay._mirror) == [z] and list(sc.delay._mirror[z]) == [k]
+
+
+def test_root_scan_solves_each_conjugate_pair_once(monkeypatch):
+    # 180 conjugate pairs, 39 real eigenvalues and the null one: the scan's 1,995
+    # calls solve 5 branches of each of 219 arguments, and afterwards lambert_w
+    # keeps the last argument's only
+    rng = np.random.RandomState(23)
+    upper = -rng.uniform(0.1, 30, 180) + 1j * rng.uniform(0.1, 30, 180)
+    spec = Spectrum(np.concatenate([upper, upper.conjugate(), -rng.uniform(0.1, 30, 39), [0]]))
+    tau = 0.1
+
+    class Forgetful(dict):
+        def __setitem__(self, key, value):
+            pass
+
+    monkeypatch.setattr(sc.delay, "_mirror", Forgetful())
+    expected = sc.rightmost_root(spec, tau)
+    monkeypatch.setattr(sc.delay, "_mirror", {})
+    start_points, solves = sc.delay._start_points, []
+
+    def counted(z, k, *args):
+        solves.append((z, k))
+        return start_points(z, k, *args)
+
+    monkeypatch.setattr(sc.delay, "_start_points", counted)
+    root = sc.rightmost_root(spec, tau)
+    assert (bits(root.root), root.source_eigenvalue_index, root.residual) == (
+        bits(expected.root), expected.source_eigenvalue_index, expected.residual)
+    assert len(solves) == len(set(solves)) == 5 * 219
+    last = complex(tau * spec.nonnull[-1])
+    last = last.conjugate() if last.imag < 0 else last
+    assert list(sc.delay._mirror) == [last] and sorted(sc.delay._mirror[last]) == [-2, -1, 0, 1, 2]
 
 
 def test_lambert_w_just_below_the_cut():
@@ -159,6 +243,15 @@ def test_lambert_w_real_negative_branches():
         wm1 = sc.lambert_w(z, -1)
         assert abs(w0.imag) <= 1e-12 and w0.real > -1
         assert abs(wm1.imag) <= 1e-12 and wm1.real < -1
+
+
+@pytest.mark.parametrize("h", [1e-5, 1e-6, 1e-7])
+def test_lambert_w_near_the_branch_point(h):
+    # W_0 and W_-1 meet at -1/e, where w e^w - z is quadratic in the error of w, so
+    # a Halley run that stops on the residual stopped W_0 2.6e-7 from x at h = 1e-6;
+    # the rounding of x e^x allows an error of about u/h, u = 2^-53
+    for k, x in ((0, -1.0 + h), (-1, -1.0 - h)):
+        assert abs(sc.lambert_w(x * math.exp(x), k) - x) <= 10 * 2.0 ** -53 / h
 
 
 # ------------------------------------------------------------- tau_critical

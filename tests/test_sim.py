@@ -1,8 +1,10 @@
+import math
 import multiprocessing
 import os
 import re
 import signal
 import tracemalloc
+from fractions import Fraction
 from multiprocessing.connection import Connection
 
 import numpy as np
@@ -13,6 +15,8 @@ from surplus_consensus import sim
 from surplus_consensus.sim import (CONSENSUS_TOLERANCE, CSV_BLOCK_ROWS, DIVERGENCE_THRESHOLD,
                                    MAX_STATE_VALUES, _csv_header, _csv_lanes, _write_rows,
                                    seeded_x0)
+
+from conftest import exact_delayed_state, exact_system
 
 
 def simulate_with_states(m, cfg, tmp_path):
@@ -231,6 +235,57 @@ def test_integrator_order(demo6):
     err_coarse = np.max(np.abs(end_state(25) - ref))
     err_fine = np.max(np.abs(end_state(50) - ref))
     assert err_coarse / err_fine >= 8.0
+
+
+# demo6 at eps = 13/10, tau = 1/5 and x0_i = fl(i/7) (z0 = 0), to t = 51/10: 25
+# full delay windows and a half one; M(eps), tau and y0 are rational, so the
+# exact solution is a finite sum of Fractions
+EXACT_T_FINAL = Fraction(51, 10)
+
+
+@pytest.fixture(scope="module")
+def exact_run(demo6):
+    """(M(1.3), x0, y0, y(51/10)): the float system and initial state, and the
+    exact initial state and solution as Fractions."""
+    x0 = np.arange(1, 7) / 7.0
+    y0 = [Fraction(v) for v in x0] + [Fraction(0)] * 6
+    y = exact_delayed_state(exact_system(demo6, Fraction(13, 10)), y0, Fraction(1, 5),
+                            EXACT_T_FINAL)
+    return sc.build_system(demo6, 1.3), x0, y0, y
+
+
+def test_kernel_is_fourth_order_against_the_exact_solution(exact_run):
+    mat, x0, _, y = exact_run
+    exact = np.array([float(v) for v in y])
+    errors = []
+    for divisor in (10, 20, 40):
+        cfg = sc.SimConfig(tau=0.2, x0=x0, dt=0.2 / divisor, t_final=float(EXACT_T_FINAL))
+        errors.append(np.max(np.abs(sc.simulate(mat, cfg).final_state - exact)))
+    # 2^4 per halving; at dt = tau/10 the error is 1.71e-6, and 1.07e-11 at tau/200
+    assert 15.0 <= errors[0] / errors[1] <= 17.0
+    assert 15.0 <= errors[1] / errors[2] <= 17.0
+    assert errors[0] <= 2e-6
+
+
+def test_conservation_drift_and_target_match_exact_arithmetic(exact_run):
+    mat, x0, y0, y = exact_run
+    n = x0.size
+    # the exact solution conserves 1'y, so the exact drift of a state is its own
+    assert sum(y) == sum(y0)
+    traj = sc.simulate(mat, sc.SimConfig(tau=0.2, x0=x0, dt=0.02, t_final=float(EXACT_T_FINAL)))
+    target = sum(y0) / n
+    assert abs(traj.target - float(target)) <= math.ulp(float(target))
+    u = 2.0 ** -53
+    final = [Fraction(v) for v in traj.final_state]
+    # the drift simulate reports is the final state's exact drift, to the rounding of its sum
+    exact_drift = abs(sum(final) - sum(y0))
+    assert abs(traj.conservation_drift[-1] - float(exact_drift)) <= 4 * n * u * float(
+        sum(abs(v) for v in final))
+    # the consensus error is the exact solution's, to the state's distance from it
+    distance = max(abs(a - b) for a, b in zip(final, y))
+    exact_error = max(abs(v - target) for v in y[:n])
+    assert abs(traj.consensus_error[-1] - float(exact_error)) <= float(distance) + 4 * u
+    assert traj.times[-1] == traj.t_final
 
 
 def test_trajectory_csv_header_and_rows(tmp_path, demo6):
