@@ -156,7 +156,6 @@ def _start_points(z, k, real_branch, log_zk):
     yield w
     if k == 0:
         yield cmath.log(1.0 + z)
-        yield z * (3.0 + 6.0 * z + z * z) / (3.0 + 9.0 * z + 5.0 * z * z)
 
 
 def tau_critical(spec):

@@ -209,7 +209,9 @@ def _csv_lanes(fh, columns):
     only then can the next odd block be sent, so at most one block is in
     flight. On exit, by any path, the pipe is closed and the helper reaped. If
     the helper is gone before its work is done, write raises a RuntimeError
-    that gives its exit code."""
+    that gives its exit code. The helper is a plain os.fork, not a
+    multiprocessing child, so a run in a daemonic multiprocessing.Pool worker
+    formats on two lanes too."""
     # imported here: cli imports this module, and only a CSV run should pay for it
     from multiprocessing.connection import Pipe
 

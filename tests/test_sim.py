@@ -397,7 +397,7 @@ def traced_peak(fn):
 def test_csv_writer_holds_a_small_block(tmp_path):
     # the writer's own allocations do not grow with the rows it formats: equal
     # peaks at 1,025 and 4,097 rows of n = 40, to the spread of the text's
-    # length, and under the 0.4 MB the README states
+    # length, and under the 0.4 MB that sim.CSV_BLOCK_ROWS is chosen for
     def writer_peak(rows, n=40):
         rng = np.random.RandomState(1)
         times, states = 0.002 * np.arange(rows), rng.uniform(0, 1, (rows, 2 * n))
