@@ -436,13 +436,15 @@ def test_simulate_reports_the_horizon_it_integrated(tmp_path, capsys):
 
 
 # the seeded x0 comes from the standard library's generator: importing
-# numpy.random would load hashlib and OpenSSL into every run
+# numpy.random would load hashlib and OpenSSL into every run; and sim builds
+# its formatting tables from Python ints, as fractions or decimal would add
+# their import to every run
 FRESH_CLI_RUN = """
 import sys
 from surplus_consensus import cli, demo_graph_path
 for argv in (["simulate", "--eps", "1.3", "--tau", "0.18", "--t-final", "5"], ["verify"]):
     assert cli.main(argv + ["--graph", demo_graph_path()]) == 0
-print("numpy.random" in sys.modules)
+print([name for name in ("numpy.random", "fractions", "decimal") if name in sys.modules])
 """
 
 
@@ -453,7 +455,7 @@ def test_cli_never_imports_numpy_random():
     proc = subprocess.run([sys.executable, "-c", FRESH_CLI_RUN], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_simulate_misaligned_dt(capsys):

@@ -9,6 +9,8 @@ from multiprocessing.connection import Connection
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import surplus_consensus as sc
 from surplus_consensus import sim
@@ -324,7 +326,7 @@ def overflowing_rows(rows):
 
 
 def write_rows(path, times, states, err, drift):
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         fh.write(_csv_header(states.shape[1] // 2))
         with _csv_lanes(fh, states.shape[1] + 3) as write:
             _write_rows(write, times, states, err, drift)
@@ -362,6 +364,70 @@ def test_trajectory_csv_matches_savetxt_on_overflow(tmp_path):
     assert b"inf" in last and last[-1] == b"nan"
 
 
+def assert_formats_as_percent(values):
+    # one value a row: _format_rows's bytes against "%.17g" of each value
+    values = np.asarray(values, dtype=np.float64)
+    got = sim._format_rows(values.reshape(-1, 1)).split(b"\n")
+    assert got == [b"%.17g" % v for v in values.tolist()] + [b""]
+
+
+def powers_of_ten_and_neighbours(ks):
+    powers = np.array([float("1e%d" % k) for k in ks])
+    return np.concatenate([np.nextafter(powers, 0), powers, np.nextafter(powers, np.inf)])
+
+
+FORMAT_CASES = {
+    "subnormal and normal minimum": [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308],
+    "powers of ten": powers_of_ten_and_neighbours(range(-300, 301)),
+    # "%.17g" switches between exponent and fixed notation at X = -4 and X = 17
+    "switch points": powers_of_ten_and_neighbours([-6, -5, -4, -3, 15, 16, 17, 18]),
+    # the 17-digit rounding of these doubles just below 10**k carries to 10**k
+    "carry to the next power": [1e-14, 1e98, 1e-305],
+    "exact ties": [10001 / 2**20, 10003 / 2**20, 0.5, 2.5, 1 / 2**20],
+    # the longdouble product lands on, above or below the half-way point
+    # while the exact one lies on the other side
+    "near ties": [7.588710127134367e-23, 6.433640789898492e+22, 7.174453009530863e-17],
+    "integer digits and zeros": [10.0, 100.5, 123456.0, 1e16 + 2, 12345678901234567.0, 0.002,
+                                 3 * 0.1, 40.0, 10.004000000000001],
+    "not finite and zero": [0.0, np.inf, np.nan],
+}
+
+
+@pytest.mark.parametrize("case", list(FORMAT_CASES))
+def test_format_rows_is_percent_on_named_values(case):
+    values = np.asarray(FORMAT_CASES[case], dtype=np.float64)
+    assert_formats_as_percent(np.concatenate([values, -values]))
+
+
+def test_format_rows_rounds_exact_ties_half_to_even():
+    assert (sim._format_rows(np.array([[10001 / 2**20, 10003 / 2**20]]))
+            == b"0.0095376968383789062,0.0095396041870117188\n")
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=100))
+def test_format_rows_is_percent_on_floats(values):
+    assert_formats_as_percent(values)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=100))
+def test_format_rows_is_percent_on_bit_patterns(bits):
+    assert_formats_as_percent(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+def test_format_tables_are_correctly_rounded():
+    for x, power, limit in zip(range(sim._X_LO, sim._X_HI + 1), sim._POW10, sim._EXACT_LIMIT):
+        exact = Fraction(10) ** (16 - x)
+        got = Fraction(*power.as_integer_ratio())
+        below, above = (Fraction(*np.nextafter(power, to).as_integer_ratio())
+                        for to in (np.longdouble(0), np.longdouble(np.inf)))
+        assert abs(got - exact) <= min(abs(below - exact), abs(above - exact)), x
+        # an odd significand up to the limit times 5**k fits the longdouble's bits
+        if limit:
+            assert got == exact and int(limit) * 5 ** (16 - x) < 2**sim._LD_BITS, x
+
+
 @pytest.mark.parametrize("run", ["converged", "overflow", "nan"])
 def test_consensus_error_is_max_abs_deviation(tmp_path, demo6, run):
     if run == "converged":
@@ -385,6 +451,9 @@ def test_consensus_error_is_max_abs_deviation(tmp_path, demo6, run):
 
 
 def traced_peak(fn):
+    # an untraced call first: a first call fills the interpreter's free lists
+    # and numpy's caches, about 2 kB, which would count in its own peak only
+    fn()
     tracemalloc.start()
     try:
         result = fn()
@@ -402,7 +471,7 @@ def test_csv_writer_holds_a_small_block(tmp_path):
         rng = np.random.RandomState(1)
         times, states = 0.002 * np.arange(rows), rng.uniform(0, 1, (rows, 2 * n))
         err, drift = rng.uniform(0, 1, rows), rng.uniform(0, 1e-14, rows)
-        with open(str(tmp_path / "traj.csv"), "w") as fh, _csv_lanes(fh, 2 * n + 3) as write:
+        with open(str(tmp_path / "traj.csv"), "wb") as fh, _csv_lanes(fh, 2 * n + 3) as write:
             return traced_peak(lambda: _write_rows(write, times, states, err, drift))[1]
 
     short, long = writer_peak(1025), writer_peak(4097)
