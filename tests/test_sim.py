@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import surplus_consensus as sc
-from surplus_consensus import sim
+from surplus_consensus import _csv_format, sim
 from surplus_consensus.sim import (CONSENSUS_TOLERANCE, CSV_BLOCK_ROWS, DIVERGENCE_THRESHOLD,
                                    MAX_STATE_VALUES, _csv_header, _csv_lanes, _write_rows,
                                    seeded_x0)
@@ -417,15 +417,26 @@ def test_format_rows_is_percent_on_bit_patterns(bits):
 
 
 def test_format_tables_are_correctly_rounded():
-    for x, power, limit in zip(range(sim._X_LO, sim._X_HI + 1), sim._POW10, sim._EXACT_LIMIT):
+    xs = range(_csv_format._X_LO, _csv_format._X_HI + 1)
+    for x, power in zip(xs, _csv_format._POWERS):
         exact = Fraction(10) ** (16 - x)
         got = Fraction(*power.as_integer_ratio())
         below, above = (Fraction(*np.nextafter(power, to).as_integer_ratio())
                         for to in (np.longdouble(0), np.longdouble(np.inf)))
         assert abs(got - exact) <= min(abs(below - exact), abs(above - exact)), x
-        # an odd significand up to the limit times 5**k fits the longdouble's bits
-        if limit:
-            assert got == exact and int(limit) * 5 ** (16 - x) < 2**sim._LD_BITS, x
+
+
+def test_double_powers_certify_nothing():
+    # where longdouble is a double, every value goes to %: 10**k overflows
+    # for X < -292, and a double's product cannot round to 17 digits
+    powers = _csv_format._exponent_tables(np.float64)
+    x = np.arange(_csv_format._X_LO, _csv_format._X_HI + 1)
+    assert np.array_equal(powers == 0, 16 - x > 308)
+    values = np.concatenate([[5e-324, 1e-300, 2.2250738585072014e-308, 1e-293, 1.0, 0.1,
+                              10001 / 2**20, 1.7976931348623157e308],
+                             np.random.RandomState(2).uniform(0, 1, 200)])
+    slow = _csv_format._significands(np.concatenate([values, -values]), powers)[2]
+    assert slow.all()
 
 
 @pytest.mark.parametrize("run", ["converged", "overflow", "nan"])
@@ -658,8 +669,8 @@ def test_streamed_simulate_memory_does_not_grow_with_the_horizon(tmp_path, demo6
     short, long = net_peak(1025), net_peak(4097)
     assert abs(long - short) <= 0.05 * short
     # the kernel's three windows of (d + 1) x 2n floats and its temporaries, and
-    # the Python floats and text the formatter makes of a window's rows, about
-    # 60 bytes a value
+    # the formatter's 32-byte slot a value for a block of a window's rows, with
+    # the slots' NUL-deleted copy: about 8 bytes per byte of the block
     window = 51 * 12 * 8
     assert long <= 20 * window
 
