@@ -1,7 +1,6 @@
 """Simulation of the delayed network dynamics with consensus metrics."""
 
 import contextlib
-import os
 import random
 from dataclasses import dataclass
 
@@ -14,7 +13,8 @@ CONSENSUS_TOLERANCE = 1e-4
 DIVERGENCE_THRESHOLD = 1e6
 # rows formatted per write: at n = 40, 32 rows keep the writer's own
 # allocations near 0.2 MB, against 12.8 MB for all the rows of a 20,000-step
-# run; _format_rows holds about 8 bytes per byte of its block, so 64 rows take 0.4 MB
+# run; _csv_format.format_rows holds about 8 bytes per byte of its block, so
+# 64 rows take 0.4 MB
 CSV_BLOCK_ROWS = 32
 MAX_SEED = 2**32 - 1
 # the most state values a run may compute, (tau/dt + t_final/dt + 1) x 2n: it
@@ -104,9 +104,7 @@ def simulate(m, cfg, csv_path=None):
     every row goes to the trajectory CSV there, one delay window at a time as
     the run goes: a header line, then one row per sample, t, x, z, error and
     drift, each formatted "%.17g" byte for byte, by array arithmetic (see
-    _format_rows), and written as bytes. One forked helper process formats
-    every other block of CSV_BLOCK_ROWS rows (see _csv_lanes); it is reaped
-    before simulate returns or raises.
+    _csv_format.format_rows), and written as bytes.
     """
     x0, z0, dt, delay_steps, nsteps = cfg.resolved()
     n = x0.size
@@ -128,15 +126,12 @@ def simulate(m, cfg, csv_path=None):
         x = rows[:, :n]
         err[k] = np.maximum(x.max(axis=1) - target, target - x.min(axis=1))
         drift[k] = np.abs(rows.sum(axis=1) - total0)
-        if write is not None:
-            _write_rows(write, times[k], rows, err[k], drift[k])
+        if fh is not None:
+            _write_rows(fh, times[k], rows, err[k], drift[k])
 
-    with contextlib.ExitStack() as stack:
-        write = None
-        if csv_path is not None:
-            fh = stack.enter_context(open(csv_path, "wb"))
+    with open(csv_path, "wb") if csv_path is not None else contextlib.nullcontext() as fh:
+        if fh is not None:
             fh.write(_csv_header(n))
-            write = stack.enter_context(_csv_lanes(fh, 2 * n + 3))
         block, last = _integrator.integrate_delayed(
             mat, y0, delay_steps, nsteps, dt, DIVERGENCE_THRESHOLD, take)
     times, err, drift = times[:last + 1], err[:last + 1], drift[:last + 1]
@@ -184,111 +179,13 @@ def _csv_header(n):
                      + ["consensus_error", "conservation_drift"]) + "\n").encode("ascii")
 
 
-def _write_rows(write, times, states, err, drift):
-    """Pass write the CSV rows of the samples given, t, x, z, error and drift,
+def _write_rows(fh, times, states, err, drift):
+    """Write to fh the CSV rows of the samples given, t, x, z, error and drift,
     CSV_BLOCK_ROWS rows at a time, so that no copy of all the rows is built."""
-    for i in range(0, times.size, CSV_BLOCK_ROWS):
-        rows = slice(i, i + CSV_BLOCK_ROWS)
-        write(np.hstack([times[rows, None], states[rows], err[rows, None],
-                         drift[rows, None]]))
-
-
-def _format_rows(block):
-    """The CSV bytes of a block's rows, each value formatted "%.17g", byte for
-    byte, by array arithmetic (see _csv_format.format_rows)."""
     # imported here: only a CSV run compiles the formatter and builds its tables
     from . import _csv_format
 
-    return _csv_format.format_rows(block)
-
-
-@contextlib.contextmanager
-def _csv_lanes(fh, columns):
-    """Yield write(block), which writes the rows of each block it is given to
-    fh, in order, formatted on two cores.
-
-    The blocks alternate between two lanes: this process formats the even
-    ones, and one forked helper the odd ones. An odd block's text comes back
-    while this process formats the even block after it, and is written first;
-    only then can the next odd block be sent, so at most one block is in
-    flight. On exit, by any path, the pipe is closed and the helper reaped. If
-    the helper is gone before its work is done, write raises a RuntimeError
-    that gives its exit code. The helper is a plain os.fork, not a
-    multiprocessing child, so a run in a daemonic multiprocessing.Pool worker
-    formats on two lanes too."""
-    # imported here: cli imports this module, and only a CSV run should pay for
-    # them; before the fork, so that the helper inherits the formatter's tables
-    from multiprocessing.connection import Pipe
-
-    from . import _csv_format  # noqa: F401
-
-    conn, helper_conn = Pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        conn.close()
-        helper_conn.close()
-        raise
-    if pid == 0:
-        _format_lane(helper_conn, conn, columns)  # leaves through os._exit
-    helper_conn.close()
-    written, exit_code = 0, None
-
-    def reap():
-        nonlocal exit_code
-        if exit_code is None:
-            exit_code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        return exit_code
-
-    def exchange(call, *args):
-        # conn's call, which fails only when the helper has closed its end
-        try:
-            return call(*args)
-        except (EOFError, ConnectionError) as error:
-            conn.close()
-            raise RuntimeError("the CSV formatting helper, pid %d, exited early "
-                               "with code %d" % (pid, reap())) from error
-
-    def write(block):
-        nonlocal written
-        if written % 2:
-            exchange(conn.send_bytes, block.tobytes())
-        else:
-            text = _format_rows(block)
-            if written:
-                fh.write(exchange(conn.recv_bytes))
-            fh.write(text)
-        written += 1
-
-    try:
-        yield write
-        if written and written % 2 == 0:
-            fh.write(exchange(conn.recv_bytes))
-    finally:
-        # the helper sees EOF, or a broken pipe if it was sending, and exits
-        conn.close()
-        reap()
-
-
-def _format_lane(conn, parent_conn, columns):
-    """The helper's loop: format each block received on conn and send its text
-    back, until EOF. It ignores SIGINT, which the parent handles, and leaves
-    through os._exit, so that nothing inherited, such as a buffered file, is
-    flushed twice."""
-    import signal  # loaded by multiprocessing.connection; at the top, cli would pay for it
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    code = 1
-    try:
-        parent_conn.close()
-        while True:
-            try:
-                data = conn.recv_bytes()
-            except EOFError:
-                break
-            block = np.frombuffer(data).reshape(-1, columns)
-            conn.send_bytes(_format_rows(block))
-        code = 0
-    finally:
-        conn.close()
-        os._exit(code)
+    for i in range(0, times.size, CSV_BLOCK_ROWS):
+        rows = slice(i, i + CSV_BLOCK_ROWS)
+        fh.write(_csv_format.format_rows(np.hstack([times[rows, None], states[rows],
+                                                    err[rows, None], drift[rows, None]])))

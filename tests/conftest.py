@@ -14,8 +14,7 @@ REFERENCE_NULL_CUTOFF = 1e-7
 
 @pytest.fixture(autouse=True)
 def no_leaked_child_process():
-    """Fail a test that leaves a child process running or unreaped: every
-    simulate with a CSV forks a helper, which must be reaped before it returns."""
+    """Fail a test that leaves a child process running or unreaped."""
     yield
     try:
         pid, _ = os.waitpid(-1, os.WNOHANG)

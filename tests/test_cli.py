@@ -436,23 +436,26 @@ def test_simulate_reports_the_horizon_it_integrated(tmp_path, capsys):
 
 
 # the seeded x0 comes from the standard library's generator: importing
-# numpy.random would load hashlib and OpenSSL into every run; and sim builds
+# numpy.random would load hashlib and OpenSSL into every run; _csv_format builds
 # its formatting tables from Python ints, as fractions or decimal would add
-# their import to every run
+# their import to every run; and a CSV run formats in its own process, so
+# neither multiprocessing nor signal is loaded
 FRESH_CLI_RUN = """
 import sys
 from surplus_consensus import cli, demo_graph_path
-for argv in (["simulate", "--eps", "1.3", "--tau", "0.18", "--t-final", "5"], ["verify"]):
+for argv in (["simulate", "--eps", "1.3", "--tau", "0.18", "--t-final", "5", "--out", sys.argv[1]],
+             ["verify"]):
     assert cli.main(argv + ["--graph", demo_graph_path()]) == 0
-print([name for name in ("numpy.random", "fractions", "decimal") if name in sys.modules])
+print([name for name in ("numpy.random", "fractions", "decimal", "multiprocessing", "signal")
+       if name in sys.modules])
 """
 
 
-def test_cli_never_imports_numpy_random():
+def test_cli_never_imports_numpy_random(tmp_path):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", FRESH_CLI_RUN], env=env,
+    proc = subprocess.run([sys.executable, "-c", FRESH_CLI_RUN, str(tmp_path / "out")], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"

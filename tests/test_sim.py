@@ -1,11 +1,7 @@
 import math
-import multiprocessing
 import os
-import re
-import signal
 import tracemalloc
 from fractions import Fraction
-from multiprocessing.connection import Connection
 
 import numpy as np
 import pytest
@@ -13,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import surplus_consensus as sc
-from surplus_consensus import _csv_format, sim
+from surplus_consensus import _csv_format
 from surplus_consensus.sim import (CONSENSUS_TOLERANCE, CSV_BLOCK_ROWS, DIVERGENCE_THRESHOLD,
-                                   MAX_STATE_VALUES, _csv_header, _csv_lanes, _write_rows,
-                                   seeded_x0)
+                                   MAX_STATE_VALUES, _csv_header, _write_rows, seeded_x0)
 
 from conftest import exact_delayed_state, exact_system
 
@@ -328,8 +323,7 @@ def overflowing_rows(rows):
 def write_rows(path, times, states, err, drift):
     with open(path, "wb") as fh:
         fh.write(_csv_header(states.shape[1] // 2))
-        with _csv_lanes(fh, states.shape[1] + 3) as write:
-            _write_rows(write, times, states, err, drift)
+        _write_rows(fh, times, states, err, drift)
 
 
 def savetxt_reference(table, path):
@@ -365,9 +359,9 @@ def test_trajectory_csv_matches_savetxt_on_overflow(tmp_path):
 
 
 def assert_formats_as_percent(values):
-    # one value a row: _format_rows's bytes against "%.17g" of each value
+    # one value a row: format_rows's bytes against "%.17g" of each value
     values = np.asarray(values, dtype=np.float64)
-    got = sim._format_rows(values.reshape(-1, 1)).split(b"\n")
+    got = _csv_format.format_rows(values.reshape(-1, 1)).split(b"\n")
     assert got == [b"%.17g" % v for v in values.tolist()] + [b""]
 
 
@@ -400,7 +394,7 @@ def test_format_rows_is_percent_on_named_values(case):
 
 
 def test_format_rows_rounds_exact_ties_half_to_even():
-    assert (sim._format_rows(np.array([[10001 / 2**20, 10003 / 2**20]]))
+    assert (_csv_format.format_rows(np.array([[10001 / 2**20, 10003 / 2**20]]))
             == b"0.0095376968383789062,0.0095396041870117188\n")
 
 
@@ -482,8 +476,8 @@ def test_csv_writer_holds_a_small_block(tmp_path):
         rng = np.random.RandomState(1)
         times, states = 0.002 * np.arange(rows), rng.uniform(0, 1, (rows, 2 * n))
         err, drift = rng.uniform(0, 1, rows), rng.uniform(0, 1e-14, rows)
-        with open(str(tmp_path / "traj.csv"), "wb") as fh, _csv_lanes(fh, 2 * n + 3) as write:
-            return traced_peak(lambda: _write_rows(write, times, states, err, drift))[1]
+        with open(str(tmp_path / "traj.csv"), "wb") as fh:
+            return traced_peak(lambda: _write_rows(fh, times, states, err, drift))[1]
 
     short, long = writer_peak(1025), writer_peak(4097)
     assert abs(long - short) <= 0.05 * short
@@ -530,125 +524,22 @@ def test_streamed_csv_matches_savetxt(tmp_path, demo6, run):
         assert delay_steps > CSV_BLOCK_ROWS
 
 
-def lane_log(monkeypatch):
-    """The parent's part in the two formatting lanes, one letter an event: F
-    formats a block, S sends one to the helper and R receives its text. The
-    helper inherits the patches, but logs nothing."""
-    parent, log = os.getpid(), []
-
-    def logged(letter, fn):
-        def wrapper(*args):
-            if os.getpid() == parent:
-                log.append(letter)
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(sim, "_format_rows", logged("F", sim._format_rows))
-    monkeypatch.setattr(Connection, "send_bytes", logged("S", Connection.send_bytes))
-    monkeypatch.setattr(Connection, "recv_bytes", logged("R", Connection.recv_bytes))
-    return log
-
-
-def test_lanes_alternate_with_one_block_in_flight(tmp_path, demo6, monkeypatch):
-    log = lane_log(monkeypatch)
-    last_lanes = set()
-    for eps, fields in STREAMED_RUNS.values():
-        log.clear()
-        with np.errstate(over="ignore", invalid="ignore"):
-            sc.simulate(sc.build_system(demo6, eps), sc.SimConfig(**fields),
-                        str(tmp_path / "streamed.csv"))
-        # the parent formats block 0; each odd block is sent, the next even one
-        # formatted here, and the odd block's text received before it is written
-        events = "".join(log)
-        assert re.fullmatch(r"F(SFR)*(SR)?", events), events
-        last_lanes.add("helper" if events.endswith("SR") else "parent")
-    # the runs end on both lanes: the exit path drains a block in flight or none
-    assert last_lanes == {"helper", "parent"}
-
-
-def simulate_demo6(csv_path):
-    g = sc.load_edge_list(sc.demo_graph_path())
-    cfg = sc.SimConfig(tau=0.2, x0=seeded_x0(0, 6), t_final=5.0)
-    sc.simulate(sc.build_system(g, 1.3), cfg, csv_path)
-
-
-def test_simulate_in_a_daemonic_worker_writes_the_same_csv(tmp_path):
-    # a Pool worker is daemonic, and multiprocessing.Process refuses it
-    # children; the helper is a plain fork, which it may start
-    with multiprocessing.get_context("fork").Pool(1) as pool:
-        pool.apply(simulate_demo6, (str(tmp_path / "worker.csv"),))
-    simulate_demo6(str(tmp_path / "here.csv"))
-    assert (tmp_path / "worker.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
-
-
-def test_simulate_without_csv_starts_no_process(demo6, monkeypatch):
+@pytest.mark.parametrize("to_csv", [True, False], ids=["csv", "no-csv"])
+def test_simulate_starts_no_process(tmp_path, demo6, monkeypatch, to_csv):
     def no_fork():
         raise AssertionError("fork called")
 
     monkeypatch.setattr(os, "fork", no_fork)
     cfg = sc.SimConfig(tau=0.2, x0=seeded_x0(0, 6), t_final=5.0)
-    assert sc.simulate(sc.build_system(demo6, 1.3), cfg).times.size == 1251
+    csv_path = str(tmp_path / "traj.csv") if to_csv else None
+    assert sc.simulate(sc.build_system(demo6, 1.3), cfg, csv_path).times.size == 1251
 
 
-def assert_no_child_process():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_csv_write_error_raises_and_reaps_the_helper(demo6):
+def test_csv_write_error_raises_oserror(demo6):
     # /dev/full refuses every write with ENOSPC, from the first flush on
     cfg = sc.SimConfig(tau=0.2, x0=seeded_x0(0, 6), t_final=40.0)
     with pytest.raises(OSError):
         sc.simulate(sc.build_system(demo6, 1.3), cfg, "/dev/full")
-    assert_no_child_process()
-
-
-def test_a_helper_gone_early_raises_with_its_exit_code(tmp_path, demo6, monkeypatch):
-    parent, format_rows = os.getpid(), sim._format_rows
-
-    def dies_in_the_helper(block):
-        if os.getpid() != parent:
-            os._exit(3)
-        return format_rows(block)
-
-    monkeypatch.setattr(sim, "_format_rows", dies_in_the_helper)
-    cfg = sc.SimConfig(tau=0.2, x0=seeded_x0(0, 6), t_final=40.0)
-    with pytest.raises(RuntimeError, match="helper, pid [0-9]+, exited early with code 3"):
-        sc.simulate(sc.build_system(demo6, 1.3), cfg, str(tmp_path / "traj.csv"))
-    assert_no_child_process()
-
-
-def test_the_helper_ignores_sigint(tmp_path, monkeypatch):
-    # a Ctrl-C reaches the whole process group; simulate's process handles it
-    parent, format_rows = os.getpid(), sim._format_rows
-
-    def interrupted_in_the_helper(block):
-        if os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGINT)
-        return format_rows(block)
-
-    monkeypatch.setattr(sim, "_format_rows", interrupted_in_the_helper)
-    simulate_demo6(str(tmp_path / "interrupted.csv"))
-    monkeypatch.undo()
-    simulate_demo6(str(tmp_path / "quiet.csv"))
-    assert (tmp_path / "interrupted.csv").read_bytes() == (tmp_path / "quiet.csv").read_bytes()
-
-
-def test_interrupt_with_a_block_in_flight_reaps_the_helper(tmp_path, demo6, monkeypatch):
-    log = lane_log(monkeypatch)
-    format_rows = sim._format_rows
-
-    def interrupted(block):
-        if log[-1:] == ["S"]:  # block 1 is with the helper
-            raise KeyboardInterrupt
-        return format_rows(block)
-
-    monkeypatch.setattr(sim, "_format_rows", interrupted)
-    cfg = sc.SimConfig(tau=0.2, x0=seeded_x0(0, 6), t_final=40.0)
-    with pytest.raises(KeyboardInterrupt):
-        sc.simulate(sc.build_system(demo6, 1.3), cfg, str(tmp_path / "traj.csv"))
-    assert "".join(log) == "FS"
-    assert_no_child_process()
 
 
 @pytest.mark.parametrize("to_csv", [True, False], ids=["csv", "no-csv"])
