@@ -128,7 +128,7 @@ def cmd_analyze(args):
     if args.out:
         _make_out_dir(args.out)
     prof = graph_mod.degree_profile(g)
-    spec0 = system_mod.spectrum(system_mod.build_system(g, 0.0))
+    spec0 = system_mod.spectrum_at_zero(g)
     lam3 = spec0.nonnull[0]
     slope = system_mod.lambda2_slope(g)
     tilde = delay_mod.tau_tilde_bound(g)
@@ -162,10 +162,10 @@ def cmd_analyze(args):
     if m is not None:
         spec = system_mod.spectrum(m)
         margin = delay_mod.tau_critical(spec)
-        lines.append("eigenvalues of M(%g):" % args.eps)
+        lines.append("eigenvalues of M(%s):" % _fmt(args.eps))
         lines += ["  %s" % _fmt_complex(v) for v in spec.eigenvalues]
         lines += [
-            "tau_c(%g): %s" % (args.eps, _fmt(margin.tau_c)),
+            "tau_c(%s): %s" % (_fmt(args.eps), _fmt(margin.tau_c)),
             "crossing_frequency: %s" % _fmt(margin.crossing_frequency),
         ]
         summary += [

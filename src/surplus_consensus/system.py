@@ -21,9 +21,6 @@ from .errors import (
     require_non_negative,
 )
 
-# the most negative entry and the largest residual norm a null vector may have
-NULL_VECTOR_TOLERANCE = 1e-9
-
 
 # == is identity: the generated == compares ndarray fields and raises
 @dataclass(frozen=True, eq=False)
@@ -68,7 +65,7 @@ class Spectrum:
 # == is identity: the generated == compares ndarray fields and raises
 @dataclass(frozen=True, eq=False)
 class NullEigenvectors:
-    """Unit-1-norm positive null vectors: left of L_in, right of L_out."""
+    """Unit-1-norm null vectors, left of L_in and right of L_out; every entry is positive."""
 
     nu_l_in: np.ndarray
     nu_r_out: np.ndarray
@@ -93,27 +90,33 @@ def spectrum(m):
     return Spectrum(vals)
 
 
-def _null_vector(mat):
-    """Positive unit-1-norm right null vector of a matrix with a simple null eigenvalue."""
-    vals, vecs = np.linalg.eig(mat)
-    v = np.real(vecs[:, np.argmin(np.abs(vals))])
-    v = v / v.sum()
-    if np.min(v) < -NULL_VECTOR_TOLERANCE:
-        raise NumericalFailure(
-            "null eigenvector has a negative entry beyond tolerance: %r" % (v,)
-        )
-    v = np.maximum(v, 0.0)
-    v = v / v.sum()
-    if np.linalg.norm(mat @ v) > NULL_VECTOR_TOLERANCE:
-        raise NumericalFailure("null eigenvector residual exceeds %g" % NULL_VECTOR_TOLERANCE)
-    return v
+def spectrum_at_zero(g):
+    """Spectrum of M(0), which is block lower-triangular: eig(-L_in) and eig(-L_out)
+    from two n x n eigensolves, so an eigenvalue the blocks share is not split by sqrt(u)."""
+    lap = graph_mod.laplacians(g)
+    return Spectrum(np.concatenate([spectrum(-lap.l_in.astype(float)).eigenvalues,
+                                    spectrum(-lap.l_out.astype(float)).eigenvalues]))
+
+
+def _null_vector(q):
+    """Unit-1-norm p with p q = 0 for an irreducible generator q (off-diagonal entries
+    >= 0, zero row sums) by Grassmann, Taksar & Heyman's elimination (Oper. Res. 33, 1985):
+    each pivot is a sum of off-diagonal entries, so no step subtracts and p > 0."""
+    q = q.astype(float)
+    for k in range(q.shape[0] - 1, 0, -1):
+        q[:k, k] /= q[k, :k].sum()
+        q[:k, :k] += np.outer(q[:k, k], q[k, :k])
+    p = np.ones(q.shape[0])
+    for k in range(1, q.shape[0]):
+        p[k] = p[:k] @ q[:k, k]
+    return p / p.sum()
 
 
 def null_eigenvectors(g):
     graph_mod.require_strongly_connected(g)
     lap = graph_mod.laplacians(g)
-    nu_l_in = _null_vector(lap.l_in.T.astype(float))
-    nu_r_out = _null_vector(lap.l_out.astype(float))
+    nu_l_in = _null_vector(-lap.l_in)
+    nu_r_out = _null_vector(-lap.l_out.T)
     return NullEigenvectors(nu_l_in=nu_l_in, nu_r_out=nu_r_out)
 
 

@@ -83,6 +83,23 @@ def exact_system(g, eps):
     return m
 
 
+def exact_null_vector(q):
+    """The p with p q = 0 and sum(p) = 1, in Fractions, for the integer generator q of
+    an irreducible chain: Gauss-Jordan elimination on q^T with its last row replaced
+    by ones, nonsingular because q^T's only row dependency is their zero sum."""
+    n = len(q)
+    a = [[Fraction(int(q[j][i])) for j in range(n)] + [Fraction(0)] for i in range(n - 1)]
+    a.append([Fraction(1)] * (n + 1))
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if a[r][c] != 0)
+        a[c], a[pivot] = a[pivot], a[c]
+        for r in range(n):
+            if r != c and a[r][c] != 0:
+                f = a[r][c] / a[c][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return [a[i][n] / a[i][i] for i in range(n)]
+
+
 def exact_delayed_state(m, y0, tau, t):
     """y(t) of y'(t) = m y(t - tau) with the constant history y0, in exact
     arithmetic: the delayed matrix exponential (Khusainov & Shuklin, 2003),

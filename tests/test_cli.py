@@ -65,6 +65,15 @@ def test_analyze_out_writes_the_stderr_report(tmp_path, capsys):
     tau_c = [line.split(": ")[1] for line in lines if line.startswith("tau_c(1.1): ")]
     assert tau_c == [parse_summary(captured.out)["tau_c"]]
     assert float(tau_c[0]) == pytest.approx(0.20578301458454987, rel=1e-9)
+    # the report prints eps as the summary does, with all of its digits
+    assert run(["analyze", "--graph", sc.demo_graph_path(), "--eps", "0.1234567",
+                "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    lines = (out / "analyze.txt").read_text().splitlines()
+    assert parse_summary(captured.out)["eps"] == "0.1234567"
+    assert "eigenvalues of M(0.1234567):" in lines
+    assert [line for line in lines if line.startswith("tau_c(")] == [
+        "tau_c(0.1234567): %s" % parse_summary(captured.out)["tau_c"]]
 
 
 def test_analyze_two_node(tmp_path, capsys):

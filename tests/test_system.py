@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import surplus_consensus as sc
+from surplus_consensus import cli, system
 
-from conftest import max_nonnull_real
+from conftest import exact_null_vector, max_nonnull_real
 
 
 def test_block_structure(demo6):
@@ -44,6 +45,11 @@ def test_spectrum_two_node_eps0(two_node):
     # only to O(sqrt(machine eps))
     assert np.allclose(sorted(spec.eigenvalues.real), [-2, -2, 0, 0], atol=1e-6)
     assert np.allclose(spec.eigenvalues.imag, 0, atol=1e-6)
+    # the two n x n blocks, -L_in and -L_out, give it to rounding
+    spec = system.spectrum_at_zero(two_node)
+    assert spec.null_count == 2
+    assert np.max(np.abs(spec.eigenvalues - [0, 0, -2, -2])) <= 1e-15
+    assert np.all(spec.eigenvalues.imag == 0)
 
 
 def test_spectrum_demo_eps0(demo6):
@@ -85,6 +91,81 @@ def test_block_triangular_split(demo6):
         # accuracy to roughly sqrt(machine eps)
         assert abs(got[i] - v) <= 1e-6
         got[i] = np.inf  # consume the match
+
+
+# ------------------------------------------------------------ the eps = 0 layer
+
+def undirected_cycle(n):
+    return sc.build_graph(n, [(i, i % n + 1) for i in range(1, n + 1)]
+                          + [(i % n + 1, i) for i in range(1, n + 1)])
+
+
+def test_spectrum_at_zero_undirected_cycles():
+    # L_in = L_out = L of the n-cycle, whose eigenvalues are 2 - 2 cos(2 pi k / n)
+    for n in range(3, 13):
+        vals = system.spectrum_at_zero(undirected_cycle(n)).eigenvalues
+        closed = np.tile(-(2 - 2 * np.cos(2 * np.pi * np.arange(n) / n)), 2)
+        assert np.max(np.abs(np.sort(vals.real) - np.sort(closed))) <= 1e-14, n
+        assert np.all(vals.imag == 0), n
+
+
+def test_spectrum_at_zero_keeps_shared_eigenvalues_whole(demo6):
+    # L_in and L_out share -3 and a conjugate pair, which eigvals of the 2n x 2n
+    # M(0) split by about sqrt(u); the blocks give each twice
+    spec = system.spectrum_at_zero(demo6)
+    vals = spec.eigenvalues
+    assert spec.null_count == 2
+    for v in (-3, -2.11535382288 + 0.589742805022j, -2.11535382288 - 0.589742805022j):
+        twins = vals[np.abs(vals - v) <= 1e-11]
+        assert twins.size == 2 and abs(twins[0] - twins[1]) <= 1e-13, v
+    assert np.all(vals[np.abs(vals + 3) <= 1e-11].imag == 0)
+    # so analyze prints each twice, digit for digit
+    printed = [cli._fmt_complex(v) for v in vals]
+    for text in ("-3+0j", "-2.11535382288+0.589742805022j", "-2.11535382288-0.589742805022j"):
+        assert printed.count(text) == 2, text
+
+
+def test_analyze_solves_only_n_by_n_eigenproblems(monkeypatch, capsys):
+    calls = []
+    eigvals, eig = np.linalg.eigvals, np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda m: calls.append(("eigvals", np.shape(m))) or eigvals(m))
+    monkeypatch.setattr(np.linalg, "eig",
+                        lambda m: calls.append(("eig", np.shape(m))) or eig(m))
+    assert cli.main(["analyze", "--graph", sc.demo_graph_path()]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert calls and set(calls) == {("eigvals", (6, 6))}
+
+
+def reset_digraph(n):
+    # node j sends to j + 1 and to node 1
+    return sc.build_graph(n, [(j + 1, j) for j in range(1, n)]
+                          + [(1, j) for j in range(2, n + 1)])
+
+
+@pytest.mark.parametrize("n", [80, 200])
+def test_null_vector_keeps_tiny_entries(n):
+    # L_out nu = 0 halves nu down the chain: (2^-1, ..., 2^-(n-1), 2^-(n-1)), whose
+    # tail an eigenvector clipped at a tolerance returned as 0 from n = 59 on
+    nu = sc.null_eigenvectors(reset_digraph(n)).nu_r_out
+    expected = 2.0 ** -np.minimum(np.arange(1, n + 1), n - 1)
+    assert np.all(nu > 0)
+    assert np.max(np.abs(nu / expected - 1)) <= 1e-15
+
+
+def test_null_vectors_and_slope_match_exact_arithmetic():
+    for n in range(2, 13):
+        for seed in range(8):
+            extra = np.random.RandomState(100 * n + seed).randint(0, n * (n - 1) - n + 1)
+            g = sc.random_strongly_connected(n, int(extra), seed=seed)
+            lap = sc.laplacians(g)
+            nev = sc.null_eigenvectors(g)
+            exact_in = exact_null_vector(-lap.l_in)
+            exact_out = exact_null_vector(-lap.l_out.T)
+            for got, want in ((nev.nu_l_in, exact_in), (nev.nu_r_out, exact_out)):
+                assert np.max(np.abs(got / np.array(want, dtype=float) - 1)) <= 1e-14, (n, seed)
+            slope = float(-n * sum(a * b for a, b in zip(exact_in, exact_out)))
+            assert abs(sc.lambda2_slope(g) / slope - 1) <= 1e-14, (n, seed)
 
 
 def test_null_eigenvectors_two_node(two_node):
