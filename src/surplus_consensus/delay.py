@@ -177,13 +177,13 @@ def tau_critical(spec):
 def tau_tilde_bound(g):
     """Topology-only delay bound (1 / 2 delta_bar) * arctan(|Re lambda_3(0)| / delta_bar).
 
-    lambda_3(0) is the rightmost non-null eigenvalue of M(0), from system.spectrum_at_zero.
+    lambda_3(0) is the rightmost non-null eigenvalue of M(0), from -L_in and -L_out.
     The absolute value repairs the sign of the bound, which is negative as
     literally stated for a Hurwitz eigenvalue.
     """
     graph_mod.require_strongly_connected(g)
     delta_bar = graph_mod.degree_profile(g).delta_bar
-    lam3 = system_mod.spectrum_at_zero(g).nonnull[0]
+    lam3 = system_mod.spectrum(system_mod.build_system(g, 0.0)).nonnull[0]
     return (1.0 / (2.0 * delta_bar)) * math.atan(abs(lam3.real) / delta_bar)
 
 

@@ -6,6 +6,7 @@ The 2n x 2n system matrix is
              [  L_in   -L_out - eps*I  ]
 
 so [1^T 1^T] M(eps) = 0 for every eps, and M(eps) = M(0) + eps * [[0, I], [0, -I]].
+M(0) is block lower-triangular, so spectrum solves its blocks -L_in and -L_out apart.
 """
 
 from dataclasses import dataclass
@@ -83,19 +84,18 @@ def build_system(g, epsilon):
 
 
 def spectrum(m):
+    """Spectrum of m: eig of each diagonal block if m is 2h x 2h (h >= 1) with a zero
+    top-right h x h block, so no eigenvalue the blocks share splits by sqrt(u); else eig(m)."""
+    m = np.asarray(m)
+    h = m.shape[0] // 2 if m.ndim == 2 else 0
+    blocks = [m]
+    if h and m.shape == (2 * h, 2 * h) and not m[:h, h:].any():
+        blocks = [m[:h, :h], m[h:, h:]]
     try:
-        vals = np.linalg.eigvals(m)
+        vals = np.concatenate([np.linalg.eigvals(b) for b in blocks])
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("eigenvalue computation failed: %s" % exc)
     return Spectrum(vals)
-
-
-def spectrum_at_zero(g):
-    """Spectrum of M(0), which is block lower-triangular: eig(-L_in) and eig(-L_out)
-    from two n x n eigensolves, so an eigenvalue the blocks share is not split by sqrt(u)."""
-    lap = graph_mod.laplacians(g)
-    return Spectrum(np.concatenate([spectrum(-lap.l_in.astype(float)).eigenvalues,
-                                    spectrum(-lap.l_out.astype(float)).eigenvalues]))
 
 
 def _null_vector(q):

@@ -24,6 +24,18 @@ def no_leaked_child_process():
                                                        "unreaped, pid %d" % pid))
 
 
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """The list of ("eigvals" or "eig", shape) for every np.linalg.eigvals and
+    np.linalg.eig call the test makes after requesting it, in call order."""
+    calls = []
+    for name in ("eigvals", "eig"):
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda m, name=name, solve=solve:
+                            calls.append((name, np.shape(m))) or solve(m))
+    return calls
+
+
 @pytest.fixture(scope="session")
 def demo6():
     return sc.load_edge_list(sc.demo_graph_path())

@@ -39,14 +39,9 @@ def test_eps_derivative_structure(demo6):
 
 
 def test_spectrum_two_node_eps0(two_node):
+    # -2 is a defective double eigenvalue of M(0); the two n x n blocks, -L_in and
+    # -L_out, give it to rounding
     spec = sc.spectrum(sc.build_system(two_node, 0.0))
-    assert spec.null_count == 2
-    # -2 is a defective double eigenvalue of M(0); the eigensolver resolves it
-    # only to O(sqrt(machine eps))
-    assert np.allclose(sorted(spec.eigenvalues.real), [-2, -2, 0, 0], atol=1e-6)
-    assert np.allclose(spec.eigenvalues.imag, 0, atol=1e-6)
-    # the two n x n blocks, -L_in and -L_out, give it to rounding
-    spec = system.spectrum_at_zero(two_node)
     assert spec.null_count == 2
     assert np.max(np.abs(spec.eigenvalues - [0, 0, -2, -2])) <= 1e-15
     assert np.all(spec.eigenvalues.imag == 0)
@@ -84,13 +79,8 @@ def test_block_triangular_split(demo6):
         np.linalg.eigvals(-lap.l_in.astype(float)),
         np.linalg.eigvals(-lap.l_out.astype(float)),
     ])
-    got = np.array(spec.eigenvalues, copy=True)
-    for v in expected:
-        i = int(np.argmin(np.abs(got - v)))
-        # repeated eigenvalues shared by both Laplacians limit matching
-        # accuracy to roughly sqrt(machine eps)
-        assert abs(got[i] - v) <= 1e-6
-        got[i] = np.inf  # consume the match
+    # M(0)'s spectrum is its diagonal blocks' spectra, digit for digit
+    assert np.array_equal(spec.eigenvalues, sc.Spectrum(expected).eigenvalues)
 
 
 # ------------------------------------------------------------ the eps = 0 layer
@@ -100,19 +90,19 @@ def undirected_cycle(n):
                           + [(i % n + 1, i) for i in range(1, n + 1)])
 
 
-def test_spectrum_at_zero_undirected_cycles():
+def test_spectrum_at_eps0_undirected_cycles():
     # L_in = L_out = L of the n-cycle, whose eigenvalues are 2 - 2 cos(2 pi k / n)
     for n in range(3, 13):
-        vals = system.spectrum_at_zero(undirected_cycle(n)).eigenvalues
+        vals = sc.spectrum(sc.build_system(undirected_cycle(n), 0.0)).eigenvalues
         closed = np.tile(-(2 - 2 * np.cos(2 * np.pi * np.arange(n) / n)), 2)
         assert np.max(np.abs(np.sort(vals.real) - np.sort(closed))) <= 1e-14, n
         assert np.all(vals.imag == 0), n
 
 
-def test_spectrum_at_zero_keeps_shared_eigenvalues_whole(demo6):
+def test_spectrum_at_eps0_keeps_shared_eigenvalues_whole(demo6):
     # L_in and L_out share -3 and a conjugate pair, which eigvals of the 2n x 2n
     # M(0) split by about sqrt(u); the blocks give each twice
-    spec = system.spectrum_at_zero(demo6)
+    spec = sc.spectrum(sc.build_system(demo6, 0.0))
     vals = spec.eigenvalues
     assert spec.null_count == 2
     for v in (-3, -2.11535382288 + 0.589742805022j, -2.11535382288 - 0.589742805022j):
@@ -125,16 +115,69 @@ def test_spectrum_at_zero_keeps_shared_eigenvalues_whole(demo6):
         assert printed.count(text) == 2, text
 
 
-def test_analyze_solves_only_n_by_n_eigenproblems(monkeypatch, capsys):
-    calls = []
-    eigvals, eig = np.linalg.eigvals, np.linalg.eig
-    monkeypatch.setattr(np.linalg, "eigvals",
-                        lambda m: calls.append(("eigvals", np.shape(m))) or eigvals(m))
-    monkeypatch.setattr(np.linalg, "eig",
-                        lambda m: calls.append(("eig", np.shape(m))) or eig(m))
+def test_sweep_at_eps0_writes_a_real_root_as_real(tmp_path, capsys):
+    # on the undirected 5-cycle M(0)'s rightmost non-null eigenvalue is the real
+    # 2 cos(2 pi / 5) - 2, twice; one 2n x 2n eigensolve gave it Im 2.5e-8
+    path, out = tmp_path / "cycle.edges", tmp_path / "sweep"
+    sc.save_edge_list(undirected_cycle(5), str(path))
+    assert cli.main(["sweep", "--mode", "eps", "--graph", str(path),
+                     "--eps-range", "0:0.5:1", "--out", str(out)]) == cli.EXIT_OK
+    capsys.readouterr()
+    row = (out / "sweep_eps.csv").read_text().splitlines()[1].split(",")
+    assert row[:2] == ["0", "0"]
+    assert float(row[2]) == pytest.approx(2 * np.cos(2 * np.pi / 5) - 2, abs=1e-15)
+    assert row[3] == "0"
+
+
+def test_stability_map_at_eps0_roots_the_exact_eigenvalue():
+    # the rightmost root at tau = 0.3 solves s e^{0.3 s} = -(5 + sqrt(5)) / 2, an
+    # eigenvalue of the 5-cycle's L; 40-digit W_0(0.3 lambda) / 0.3 from mpmath
+    reference = -0.86956951733795328984 + 4.6152203721002935385j
+    smap = sc.stability_map(undirected_cycle(5), [0.0], [0.3])
+    assert abs(smap.roots[0, 0] - reference) <= 1e-14
+
+
+def test_analyze_solves_only_n_by_n_eigenproblems(eigensolves, capsys):
     assert cli.main(["analyze", "--graph", sc.demo_graph_path()]) == cli.EXIT_OK
     capsys.readouterr()
-    assert calls and set(calls) == {("eigvals", (6, 6))}
+    assert eigensolves and set(eigensolves) == {("eigvals", (6, 6))}
+
+
+@pytest.mark.parametrize("eps_range, solves", [
+    ("0:1:0", [("eigvals", (6, 6))] * 2),  # -L_in and -L_out
+    ("0.5:1:0.5", [("eigvals", (12, 12))]),
+])
+def test_sweep_solves_m0_by_blocks_and_m_eps_whole(tmp_path, capsys, eigensolves,
+                                                   eps_range, solves):
+    assert cli.main(["sweep", "--mode", "eps", "--graph", sc.demo_graph_path(),
+                     "--eps-range", eps_range, "--out", str(tmp_path)]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert eigensolves == solves
+
+
+def test_spectrum_splits_only_an_even_block_lower_triangular_matrix(eigensolves):
+    # 1 x 1: h = 0, nothing to split
+    assert np.array_equal(sc.spectrum(np.array([[2.5]])).eigenvalues, [2.5])
+    # 3 x 3 with zero upper entries: odd, so one eigensolve
+    odd = np.array([[-1.0, 0, 0], [1, -2, 0], [1, 1, -3]])
+    assert np.allclose(sc.spectrum(odd).eigenvalues, [-1, -2, -3], rtol=0, atol=1e-15)
+    # [[a, 0], [c, d]]: its two 1 x 1 blocks, exactly
+    a, c, d = -0.1, 7.0, -1 / 3
+    assert np.array_equal(sc.spectrum(np.array([[a, 0], [c, d]])).eigenvalues, [a, d])
+    # a nonzero top-right block takes one eigensolve
+    sc.spectrum(np.array([[a, 1e-300], [c, d]]))
+    assert eigensolves == [("eigvals", (1, 1)), ("eigvals", (3, 3)),
+                           ("eigvals", (1, 1)), ("eigvals", (1, 1)), ("eigvals", (2, 2))]
+
+
+def test_spectrum_does_not_call_itself_through_the_module(monkeypatch, demo6):
+    # a tracer that wraps system.spectrum counts one call per spectrum
+    calls = []
+    spectrum = system.spectrum
+    monkeypatch.setattr(system, "spectrum", lambda m: calls.append(m) or spectrum(m))
+    for eps in (0.0, 0.5):
+        system.spectrum(sc.build_system(demo6, eps))
+    assert len(calls) == 2
 
 
 def reset_digraph(n):
