@@ -46,7 +46,9 @@ def integrate_delayed(mat, y0, delay_steps, nsteps, dt, blow_threshold, emit):
         cur[0] = prev[d]
         cur[1:w + 1] = (dt / 6.0) * (f[:-1] + 4.0 * (ymid @ mat.T) + f[1:])
         window = cur[:w + 1]
-        np.cumsum(window, axis=0, out=window)
+        # np.cumsum's Python wrapper allocates per call, which can refill the
+        # interpreter's free lists as the run goes; the ufunc method does not
+        np.add.accumulate(window, axis=0, out=window)
         bad = _first_bad_row(window[1:], blow_threshold)
         if bad is not None:
             emit(s + 1, window[1:bad + 2])

@@ -131,7 +131,7 @@ def cmd_analyze(args):
     spec0 = system_mod.spectrum(system_mod.build_system(g, 0.0))
     lam3 = spec0.nonnull[0]
     slope = system_mod.lambda2_slope(g)
-    tilde = delay_mod.tau_tilde_bound(g)
+    tilde = delay_mod._tau_tilde(prof.delta_bar, lam3)
     balanced = graph_mod.is_balanced(g)
 
     lines = [

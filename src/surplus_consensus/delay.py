@@ -182,8 +182,12 @@ def tau_tilde_bound(g):
     literally stated for a Hurwitz eigenvalue.
     """
     graph_mod.require_strongly_connected(g)
-    delta_bar = graph_mod.degree_profile(g).delta_bar
-    lam3 = system_mod.spectrum(system_mod.build_system(g, 0.0)).nonnull[0]
+    return _tau_tilde(graph_mod.degree_profile(g).delta_bar,
+                      system_mod.spectrum(system_mod.build_system(g, 0.0)).nonnull[0])
+
+
+def _tau_tilde(delta_bar, lam3):
+    """tau_tilde_bound from delta_bar and lambda_3(0), for a caller that has them."""
     return (1.0 / (2.0 * delta_bar)) * math.atan(abs(lam3.real) / delta_bar)
 
 

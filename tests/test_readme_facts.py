@@ -91,3 +91,10 @@ def test_named_module_attributes_exist():
 def test_readme_narrates_no_interface_change():
     # a change of interface is recorded in CHANGES.md, not in the README
     assert "Interface change" not in README.read_text()
+
+
+def test_cited_benchmark_records_exist():
+    # a BENCH_*.json the README cites as evidence is committed at the repo root
+    cited = set(re.findall(r"BENCH_\w+\.json", README.read_text()))
+    assert cited
+    assert sorted(name for name in cited if not (README.parent / name).is_file()) == []

@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import tracemalloc
@@ -335,7 +336,8 @@ def savetxt_reference(table, path):
     np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
-@pytest.mark.parametrize("rows", [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+# 31 to 33 rows: part of one block; CSV_BLOCK_ROWS - 1 to + 1: a block's edge
+@pytest.mark.parametrize("rows", [1, 31, 32, 33, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
                                   CSV_BLOCK_ROWS + 1, 1024, 1025])
 def test_trajectory_csv_matches_savetxt(tmp_path, demo6, rows):
     traj, states = converged_run(demo6, tmp_path)
@@ -457,8 +459,12 @@ def test_consensus_error_is_max_abs_deviation(tmp_path, demo6, run):
 
 def traced_peak(fn):
     # an untraced call first: a first call fills the interpreter's free lists
-    # and numpy's caches, about 2 kB, which would count in its own peak only
+    # and numpy's caches, about 2 kB, which would count in its own peak only;
+    # then a full collection, which empties the free lists, so that the peak
+    # does not depend on when the last one ran, and a call that refills them a
+    # little more each step shows as growth
     fn()
+    gc.collect()
     tracemalloc.start()
     try:
         result = fn()
@@ -471,7 +477,8 @@ def traced_peak(fn):
 def test_csv_writer_holds_a_small_block(tmp_path):
     # the writer's own allocations do not grow with the rows it formats: equal
     # peaks at 1,025 and 4,097 rows of n = 40, to the spread of the text's
-    # length, and under the 0.4 MB that sim.CSV_BLOCK_ROWS is chosen for
+    # length, and under 0.4 MB: a block of CSV_BLOCK_ROWS rows of 83 values at
+    # about 75 bytes a value
     def writer_peak(rows, n=40):
         rng = np.random.RandomState(1)
         times, states = 0.002 * np.arange(rows), rng.uniform(0, 1, (rows, 2 * n))
@@ -496,6 +503,9 @@ STREAMED_RUNS = {
     "tau-dt-10": (1.3, dict(tau=0.1, x0=seeded_x0(1, 6), dt=0.01, t_final=5.0)),
     # windows of 100 rows, each formatted in two blocks
     "tau-dt-over-block": (1.3, dict(tau=0.2, x0=seeded_x0(2, 6), dt=0.002, t_final=2.0)),
+    # windows of 120 rows, each formatted in two blocks and the rest, and a
+    # last window of 40
+    "tau-dt-block-and-rest": (1.3, dict(tau=0.24, x0=seeded_x0(3, 6), dt=0.002, t_final=2.0)),
 }
 
 
@@ -522,6 +532,25 @@ def test_streamed_csv_matches_savetxt(tmp_path, demo6, run):
         assert traj.times.size == 2
     if run == "tau-dt-over-block":
         assert delay_steps > CSV_BLOCK_ROWS
+    if run == "tau-dt-block-and-rest":
+        assert delay_steps > CSV_BLOCK_ROWS and delay_steps % CSV_BLOCK_ROWS != 0
+        assert (traj.times.size - 1) % delay_steps != 0
+
+
+@pytest.mark.parametrize("n", [40, 200])
+def test_csv_writer_formats_a_delay_window_per_call(tmp_path, monkeypatch, n):
+    # the first row, then one call per default delay window of 50 rows
+    format_rows, rows = _csv_format.format_rows, []
+
+    def counted(block):
+        rows.append(block.shape[0])
+        return format_rows(block)
+
+    monkeypatch.setattr(_csv_format, "format_rows", counted)
+    m = sc.build_system(sc.random_strongly_connected(n, 3 * n, 0), 1.0)
+    cfg = sc.SimConfig(tau=0.1, x0=seeded_x0(0, n), t_final=2.0)
+    traj = sc.simulate(m, cfg, str(tmp_path / "traj.csv"))
+    assert traj.times.size == 1001 and rows == [1] + [50] * 20
 
 
 @pytest.mark.parametrize("to_csv", [True, False], ids=["csv", "no-csv"])
@@ -560,8 +589,9 @@ def test_streamed_simulate_memory_does_not_grow_with_the_horizon(tmp_path, demo6
     short, long = net_peak(1025), net_peak(4097)
     assert abs(long - short) <= 0.05 * short
     # the kernel's three windows of (d + 1) x 2n floats and its temporaries, and
-    # the formatter's 32-byte slot a value for a block of a window's rows, with
-    # the slots' NUL-deleted copy: about 8 bytes per byte of the block
+    # the formatter's 32-byte slot a value for a block of rows, with the slots'
+    # NUL-deleted copy: about 8 bytes per byte of the block, a whole 50-row
+    # window
     window = 51 * 12 * 8
     assert long <= 20 * window
 
