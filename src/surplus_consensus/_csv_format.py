@@ -1,12 +1,15 @@
 """The "%.17g" text of float64 rows, byte for byte, by numpy array arithmetic.
 
-Each value's 17 significant digits come from one longdouble product with a
-correctly rounded power of ten, taken only where the product's error bound
-cannot reach a half-way point, and laid out four at a time from a table. As in
-Ryu (Adams, PLDI 2018), a certified fast path gives way to exact formatting
-wherever its bound cannot decide: Python's %, with the correctly rounded dtoa
-of Gay (1990). The tables are built on import, about 1.5 ms, and only a run
-that writes a CSV imports this module.
+Each value's 17 significant digits come from its product with 10**(16 - X) as
+a double-double hi + lo, each half a correctly rounded double: the product with
+hi exactly, as a double and its error, by Dekker's TwoProduct (Numer. Math.
+18, 1971), and the product with lo added to that error. The digits are taken
+where the sum's error bound cannot reach a half-way point, and laid out four at
+a time from a table. As in Ryu (Adams, PLDI 2018), that certified fast path
+gives way to Python's %, the correctly rounded dtoa of Gay (1990), where it
+cannot decide: inf, nan, |v| under 1e-284 or from 1e308 on, and near-ties. All
+of it is float64 and int64, whatever np.longdouble is. The tables are built on
+import, about 2 ms, and only a run that writes a CSV imports this module.
 """
 
 import numpy as np
@@ -15,44 +18,31 @@ import numpy as np
 # Tables of format_rows, indexed by X - _X_LO for the decimal exponent X of a
 # value, -324..308 for a double, and one more on each side for the correction
 _X_LO, _X_HI = -325, 309
+# a double with its low 26 significand bits cleared: the high half of a split
+# that, with hi's Veltkamp split, makes each partial product of TwoProduct exact
+_HIGH_BITS = np.uint64(2**64 - 2**26)
+_MAX = np.finfo(np.float64).max
 
 
-def _exponent_tables(dtype):
-    """10**(16 - X) correctly rounded to dtype for X from _X_LO to _X_HI, 0
-    where it overflows dtype: Python int arithmetic, 1 ms."""
-    info = np.finfo(dtype)
-    bits = info.nmant + 1  # significand bits: 64 for x87's longdouble, 53 for a double
-    significands, exponents = [], []
-    five = 5 ** (_X_HI - 16)
-    for k in range(16 - _X_HI, 17 - _X_LO):  # 10**k, for X = 16 - k from _X_HI down
-        if k < 0:
-            # 2**k / 5**-k, where 2**t / 5**-k lies in (2**(bits - 1), 2**bits)
-            t = bits + five.bit_length() - 1
-            q, r = divmod(1 << t, five)
-            q += 2 * r > five or 2 * r == five and q & 1
-            e = k - t
-            five //= 5
-        else:
-            # 5**k * 2**k, rounding 5**k to its top bits
-            shift = max(five.bit_length() - bits, 0)
-            q = five >> shift
-            r, half = five - (q << shift), 1 << shift >> 1
-            q += shift > 0 and (r > half or r == half and q & 1)
-            e = k + shift
-            five *= 5
-        if q >> bits:  # rounded up to 2**bits
-            q, e = q >> 1, e + 1
-        significands.append(q if e + bits <= info.maxexp else 0)
-        exponents.append(e)
-    exponents = np.array(exponents[::-1])
-    # the significands 32 bits at a time, each exact in dtype
-    words = (bits + 31) // 32
-    parts = np.frombuffer(b"".join(q.to_bytes(4 * words, "little") for q in significands[::-1]),
-                          "<u4").reshape(-1, words)
-    powers = np.zeros(len(exponents), dtype)
-    for word in range(words):
-        powers += np.ldexp(parts[:, word].astype(dtype), exponents + 32 * word)
-    return powers
+def _power_tables():
+    """hi, hh, hl and lo over X from _X_LO to _X_HI: hi and lo the nearest
+    doubles to 10**k and 10**k - hi, k = 16 - X, by Python int true division,
+    which rounds correctly, and hh + hl = hi Veltkamp's split. All are 0 where
+    (2**27 + 1) hi overflows or lo is subnormal, so that TwoProduct or lo's
+    rounding would fail: outside 10**-291..10**300, X from -284 to 307."""
+    rows = [(0.0,) * 4] * (16 - 308 - _X_LO)  # 10**k overflows a double for k > 308
+    ten = 10**308  # 10**abs(k)
+    for x in range(16 - 308, _X_HI + 1):
+        num, den = (ten, 1) if x <= 16 else (1, ten)
+        hi = num / den
+        hi_num, hi_den = hi.as_integer_ratio()
+        lo = (num * hi_den - hi_num * den) / (den * hi_den)
+        c = hi * (2**27 + 1)
+        hh = c - (c - hi)
+        ok = c < np.inf and (lo == 0 or abs(lo) >= 2.0**-1022)
+        rows.append((hi, hh, hi - hh, lo) if ok else (0.0,) * 4)
+        ten = ten // 10 if x < 16 else ten * 10
+    return np.ascontiguousarray(np.array(rows).T)
 
 
 def _layout_tables():
@@ -82,52 +72,73 @@ def _digit_table():
     return np.concatenate([digits, digits * kept]).view(np.uint32).ravel()
 
 
-_POWERS = _exponent_tables(np.longdouble)
+_HI, _HH, _HL, _LO = _power_tables()
 _HEAD, _TAIL, _WIDE = _layout_tables()
 _DIGITS = _digit_table()
 
 
-def _significands(v, powers):
+def _scaled(a, xi):
+    """floor(x) as an int64 and an approximation f of x - floor(x) in [0, 1],
+    for x = a * 10**(16 - X) with X - _X_LO at xi: p = fl(a * hi), and the
+    rest of x as the exact error e of that product plus fl(a * lo). a is
+    overwritten."""
+    p = _HI[xi] * a
+    f = _LO[xi] * a
+    high = (a.view(np.uint64) & _HIGH_BITS).view(np.float64)
+    a -= high
+    # e = ((high hh - p) + high hl + a hh) + a hl with a the low half, each
+    # step exact
+    hh, hl = _HH[xi], _HL[xi]
+    e = hh * high
+    e -= p
+    high *= hl
+    e += high
+    hh *= a
+    e += hh
+    hl *= a
+    e += hl
+    del high, hh, hl
+    f += e
+    np.floor(f, out=e)
+    f -= e
+    # p is an integer here, since any p that can pass the range check is over 2**53
+    n = p.astype(np.int64)
+    n += e.astype(np.int64)
+    return n, f
+
+
+def _significands(v):
     """N, the 17 significant digits of each value of v as an int64, X - _X_LO
     for its decimal exponent X, and whether % must format it instead.
 
     X = floor(log10|v|), corrected by one where log10 rounds across a power of
-    ten, and N = round(|v| * 10**(16 - X)) comes from one product p with the
-    correctly rounded power from powers (_exponent_tables). N is taken where
-    p's error bound cannot reach a half-way point: |p - x| <= p * eps *
-    (1 + O(eps)) for the exact x, with eps of powers' dtype, since the power
-    and the product each round by at most eps/2; 0.1% more covers the O(eps)
-    term and the float64 rounding of the fraction. A carry to 10**17 raises X.
-    0, inf, nan and the values p cannot round, about 1%, are left to %; with
-    powers in a double, every value is."""
+    ten, and N = round(x) for x = |v| * 10**(16 - X) (_scaled). The range
+    check is on floor(x) = int(p) + floor(f) in [10**16, 10**17), which has
+    to hold for X to be right. With u = 2**-53, the computed f misses x -
+    int(p) by at most |a lo - fl(a lo)| + |e + fl(a lo) - f| + |a (10**k - hi
+    - lo)| <= u |a lo| + u |e + fl(a lo)| + u |a lo| <= 42 u: p = fl(a hi) <
+    2**57 gives |e| <= 8, and |lo| <= u hi gives |a lo| <= u x (1 + u) <= 11.2
+    for x < 10**17. So N is taken where the fraction of f lies more than 42 u
+    from 1/2; there f - floor(f) and its distance from 1/2 are exact. A carry to
+    10**17 raises X. 0 is N = 10**16 at X = 0, which format_rows writes as 0.
+    inf and nan become the largest double, whose 10**-292 is not in the table;
+    they, the values whose power is not there and the near-ties are left to %.
+    """
     a = np.abs(v)
-    ok = a > 0
-    ok &= a < np.inf
-    a[~ok] = 1.0
-    x = np.log10(a)
-    xi = np.floor(x, out=x).astype(np.intp)
-    xi -= _X_LO
-    p = powers[xi]
-    p *= a
-    n = p.astype(np.int64)
-    low, high = n < 10**16, n >= 10**17
-    fix = np.flatnonzero(low | high)
+    np.fmin(a, _MAX, out=a)
+    a[a == 0] = 1.0
+    xi = np.floor(np.log10(a)).astype(np.intp) - _X_LO
+    n, f = _scaled(a, xi)
+    # floor(x) outside [10**16, 10**17): X is one off
+    fix = np.flatnonzero((n - 10**16).view(np.uint64) >= 9 * 10**16)
     if fix.size:
-        xi[fix] += high[fix].astype(np.intp) - low[fix]
-        p[fix] = powers[xi[fix]] * a[fix]
-        n[fix] = p[fix].astype(np.int64)
-        # still out of range: a power that overflowed, or log10 off by two
-        ok[fix[(n[fix] < 10**16) | (n[fix] >= 10**17)]] = False
-    del a, x
-    p -= n
-    off = p.astype(np.float64)  # the fraction's distance from 1/2
-    del p
-    off -= 0.5
-    up = off > 0
-    np.abs(off, out=off)
-    slow = off <= 1.001 * float(np.finfo(powers.dtype).eps) * n
-    n += up
-    slow |= ~ok
+        xi[fix] += (n[fix] >= 10**17).astype(np.intp) - (n[fix] < 10**16)
+        n[fix], f[fix] = _scaled(np.fmin(np.abs(v[fix]), _MAX), xi[fix])
+        # still out of range: a power not in the table, or log10 off by two
+        f[fix[(n[fix] < 10**16) | (n[fix] >= 10**17)]] = 0.5
+    n += f > 0.5
+    f -= 0.5
+    slow = np.abs(f, out=f) <= 42 * 2.0**-53
     carry = np.flatnonzero(n == 10**17)
     n[carry] = 10**16
     xi[carry] += 1
@@ -143,11 +154,10 @@ def format_rows(block):
     from _DIGITS without trailing zeros, the point, the "e-XX" suffix of
     X, and NUL where a character is left out; the NULs are deleted at the end.
     The values _significands leaves are formatted with % in one call. The
-    peak is about 8 bytes per byte of the block, and no longdouble array
-    outlives the rounding."""
+    peak is about 8 bytes per byte of the block."""
     rows, columns = block.shape
     v = block.reshape(-1)
-    n, xi, slow = _significands(v, _POWERS)
+    n, xi, slow = _significands(v)
     # fixed notation with X >= 1, and whether digits follow its point
     wide = np.flatnonzero(_WIDE[xi])
     xw = xi[wide] + _X_LO
@@ -160,19 +170,19 @@ def format_rows(block):
     words = out.view(np.uint64)
     words[:, 0] = _HEAD[xi]
     words[:, 3] = _TAIL[xi]
-    np.copyto(out[:, 0], ord("-"), where=v < 0)
+    np.multiply(np.signbit(v), np.uint8(ord("-")), out=out[:, 0])
     # the other digits, four at a time from the last: a group with only zero
-    # groups after it is written without its trailing zeros
-    quads, zero = out.view(np.uint32), np.ones(v.size, bool)
+    # groups after it (shift 10000) is written without its trailing zeros
+    quads, shift = out.view(np.uint32), np.full(v.size, 10000, np.int16)
     for column in (5, 4, 3, 2):
         q = n // 10000
         n -= q * 10000
-        np.add(n, 10000, out=n, where=zero)
-        zero &= n == 10000
+        n += shift
+        shift *= n == 10000
         quads[:, column] = _DIGITS[n]
         n = q
-    np.add(n, ord("0"), out=out[:, 6], casting="unsafe")
-    np.copyto(out[:, 7], 0, where=zero)  # nothing after the point
+    out[:, 6] = n - (v == 0) + ord("0")  # the first digit; a zero has N = 10**16
+    out[:, 7] *= shift == 0  # no point where no digit follows it
     # with X >= 1, digits 2..X+1 move left over the point, with their zeros,
     # and the point goes after them: one slot column at a time
     for j in range(1, xw.max(initial=0) + 1):
@@ -186,8 +196,6 @@ def format_rows(block):
         chars = np.frombuffer(text, np.uint8).reshape(rest.size, 29)
         out[rest, :29] = np.where(chars == ord(" "), 0, chars)
     out.reshape(rows, columns, 32)[:, -1, 29] = ord("\n")
-    # the NUL deletion copies buf, and bytes() its result: hold nothing else
-    del out, words, quads, xi, n, q
-    text = buf.translate(None, b"\0")
-    del buf
-    return bytes(text)
+    # the NUL deletion copies buf: hold nothing else
+    del out, words, quads, xi, n, q, shift
+    return buf.translate(None, b"\0")

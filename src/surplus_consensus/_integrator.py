@@ -60,7 +60,9 @@ def integrate_delayed(mat, y0, delay_steps, nsteps, dt, blow_threshold, emit):
 
 def _first_bad_row(rows, blow_threshold):
     """Index of the first row with a non-finite entry or one whose |value|
-    exceeds blow_threshold; None if there is none."""
+    exceeds blow_threshold; None if there is none. NaN fails the first test."""
+    if np.abs(rows).max() <= blow_threshold:
+        return None
     peak = np.abs(rows).max(axis=1)
     bad = np.flatnonzero(~np.isfinite(peak) | (peak > blow_threshold))
     return int(bad[0]) if bad.size else None

@@ -380,9 +380,14 @@ FORMAT_CASES = {
     # the 17-digit rounding of these doubles just below 10**k carries to 10**k
     "carry to the next power": [1e-14, 1e98, 1e-305],
     "exact ties": [10001 / 2**20, 10003 / 2**20, 0.5, 2.5, 1 / 2**20],
-    # the longdouble product lands on, above or below the half-way point
-    # while the exact one lies on the other side
+    # within a longdouble product's rounding of a half-way point
     "near ties": [7.588710127134367e-23, 6.433640789898492e+22, 7.174453009530863e-17],
+    # exact fractions 41, 42 and 40 u from 1/2, u = 2**-53: _significands
+    # leaves them to %; and 44, 44 and 46 u, which it formats itself
+    "just inside the tie bound": [3.8035328323240135e-08, 1.7879459052236287e-07,
+                                  5.818732883348218e-08],
+    "just outside the tie bound": [3.718397156790462e-08, 1.049974425240788e-07,
+                                   5.648461532281115e-08],
     "integer digits and zeros": [10.0, 100.5, 123456.0, 1e16 + 2, 12345678901234567.0, 0.002,
                                  3 * 0.1, 40.0, 10.004000000000001],
     "not finite and zero": [0.0, np.inf, np.nan],
@@ -413,26 +418,51 @@ def test_format_rows_is_percent_on_bit_patterns(bits):
 
 
 def test_format_tables_are_correctly_rounded():
-    xs = range(_csv_format._X_LO, _csv_format._X_HI + 1)
-    for x, power in zip(xs, _csv_format._POWERS):
-        exact = Fraction(10) ** (16 - x)
-        got = Fraction(*power.as_integer_ratio())
-        below, above = (Fraction(*np.nextafter(power, to).as_integer_ratio())
-                        for to in (np.longdouble(0), np.longdouble(np.inf)))
-        assert abs(got - exact) <= min(abs(below - exact), abs(above - exact)), x
+    # hi the nearest double to 10**k and lo the nearest to 10**k - hi, with hh
+    # + hl = hi in 26 significant bits each; all 0 outside 10**-291..10**300
+    def nearest(got, exact):
+        return all(abs(Fraction(got) - exact) <= abs(Fraction(math.nextafter(got, to)) - exact)
+                   for to in (-math.inf, math.inf))
+
+    kept = []
+    for x, hi, hh, hl, lo in zip(range(_csv_format._X_LO, _csv_format._X_HI + 1),
+                                 *(t.tolist() for t in (_csv_format._HI, _csv_format._HH,
+                                                        _csv_format._HL, _csv_format._LO))):
+        k = 16 - x
+        if not -291 <= k <= 300:
+            assert hi == hh == hl == lo == 0, k
+            continue
+        kept.append(k)
+        exact = Fraction(10) ** k
+        assert nearest(hi, exact) and nearest(lo, exact - Fraction(hi)), k
+        assert Fraction(hh) + Fraction(hl) == Fraction(hi), k
+        assert all((math.frexp(half)[0] * 2**26).is_integer() for half in (hh, hl)), k
+    assert kept == list(range(300, -292, -1))
 
 
-def test_double_powers_certify_nothing():
-    # where longdouble is a double, every value goes to %: 10**k overflows
-    # for X < -292, and a double's product cannot round to 17 digits
-    powers = _csv_format._exponent_tables(np.float64)
-    x = np.arange(_csv_format._X_LO, _csv_format._X_HI + 1)
-    assert np.array_equal(powers == 0, 16 - x > 308)
-    values = np.concatenate([[5e-324, 1e-300, 2.2250738585072014e-308, 1e-293, 1.0, 0.1,
-                              10001 / 2**20, 1.7976931348623157e308],
-                             np.random.RandomState(2).uniform(0, 1, 200)])
-    slow = _csv_format._significands(np.concatenate([values, -values]), powers)[2]
-    assert slow.all()
+def test_csv_format_holds_no_longdouble():
+    arrays = [a for a in vars(_csv_format).values() if isinstance(a, np.ndarray)]
+    assert arrays and all(a.dtype != np.longdouble for a in arrays)
+
+
+def test_significands_leave_only_the_near_ties_to_percent():
+    inside, outside = (FORMAT_CASES[c] for c in ("just inside the tie bound",
+                                                 "just outside the tie bound"))
+    slow = _csv_format._significands(np.array(inside + outside))[2]
+    assert slow.tolist() == [True] * len(inside) + [False] * len(outside)
+
+
+def test_significands_certify_every_value_of_a_run(tmp_path, monkeypatch):
+    # a seeded n = 40 run's times, states, errors and drifts, zeros included:
+    # none of them is left to %
+    blocks = []
+    monkeypatch.setattr(_csv_format, "format_rows", lambda block: blocks.append(block) or b"")
+    m = sc.build_system(sc.random_strongly_connected(40, 120, 0), 1.0)
+    sc.simulate(m, sc.SimConfig(tau=0.1, x0=seeded_x0(0, 40), t_final=4.0),
+                str(tmp_path / "traj.csv"))
+    values = np.concatenate(blocks, axis=None)
+    assert values.size == 2001 * 83 and (values == 0).any()
+    assert not _csv_format._significands(values)[2].any()
 
 
 @pytest.mark.parametrize("run", ["converged", "overflow", "nan"])
@@ -528,6 +558,8 @@ def test_streamed_csv_matches_savetxt(tmp_path, demo6, run):
     if run in ("converged", "diverged"):
         assert traj.verdict == run
         assert (traj.times.size - 1) % delay_steps != 0
+    if run == "diverged":
+        assert traj.times.size == 1280
     if run.startswith("overflow"):
         assert traj.times.size == 2
     if run == "tau-dt-over-block":
