@@ -8,7 +8,6 @@ from .delay import (
     DelayMargin,
     RightmostRoot,
     StabilityMap,
-    bisect_tau_crossing,
     lambert_w,
     rightmost_root,
     rightmost_root_oracle,

@@ -106,6 +106,10 @@ def load_graph(path):
         return graph_mod.load_edge_list(path)
     except OSError as exc:
         raise GraphFormatError(str(exc)) from exc
+    # bytes that are not UTF-8 or a JSON integer past Python's digit limit (ValueErrors),
+    # or JSON nested past the recursion limit
+    except (ValueError, RecursionError) as exc:
+        raise GraphFormatError("%s: %s" % (path, exc)) from exc
 
 
 def _make_out_dir(path):
@@ -312,10 +316,13 @@ def cmd_verify(args):
             ok = False
     checks.append(("oracle_agreement", ok))
 
-    # crossing consistency: bisection zero matches the closed-form margin
-    tau_star = delay_mod.bisect_tau_crossing(spec, 0.5 * margin.tau_c, 2.0 * margin.tau_c)
-    checks.append(("crossing_bisection",
-                   abs(tau_star - margin.tau_c) <= 1e-6 * margin.tau_c))
+    # the closed-form margin is the crossing: the roots of each s = lambda_i e^{-s tau}
+    # cross the imaginary axis only rightwards as tau grows, the first at
+    # (|arg lambda_i| - pi/2) / |lambda_i| (Matsunaga, Appl. Math. Lett. 20, 2007), so
+    # Re s*(tau) changes sign once, at tau_c, and two scans bracket it within 1e-6
+    below, above = (delay_mod.rightmost_root(spec, f * margin.tau_c).root.real
+                    for f in (1.0 - 1e-6, 1.0 + 1e-6))
+    checks.append(("crossing_bisection", below < 0.0 < above))
 
     # conservation audit on a short run
     x0 = sim_mod.seeded_x0(args.seed, g.n)
@@ -369,7 +376,7 @@ def build_parser():
     p.add_argument("--tau-range", default=None, help="a:step:b")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("verify", help="cross-checks: oracle, bisection, conservation")
+    p = sub.add_parser("verify", help="cross-checks: oracle, crossing, conservation")
     common(p, seed=True)
     p.set_defaults(func=cmd_verify)
     return parser

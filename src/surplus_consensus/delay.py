@@ -25,8 +25,6 @@ LAMBERT_W_TOL = 1e-12
 FOUR_UNIT_ROUNDOFF = 2.0 ** -51  # 4u, u = 2^-53 the unit roundoff of a double
 LAMBERT_W_MAX_ITER = 100  # Halley steps per start point
 ORACLE_ORDER = 30  # Chebyshev collocation order: 31 x 31 scalar generators
-BISECTION_REL_TOL = 1e-9
-BISECTION_MAX_ITER = 200
 
 # the branches lambert_w solved for the last argument, {z folded to Im z >= 0:
 # {branch: w}}: the call for a conjugate eigenvalue finds its mirror's; a dict of
@@ -328,22 +326,3 @@ def stability_map(g, eps_grid, tau_grid):
                         source_index=source_index, residual=residual,
                         failures=failures)
 
-
-def bisect_tau_crossing(spec, lo, hi):
-    """Bisection on the sign of Re(rightmost root) over [lo, hi]."""
-    flo = rightmost_root(spec, lo).root.real
-    fhi = rightmost_root(spec, hi).root.real
-    if flo >= 0 or fhi <= 0:
-        raise PreconditionViolated(
-            "bracket [%g, %g] does not straddle the crossing (f = %g, %g)"
-            % (lo, hi, flo, fhi)
-        )
-    for _ in range(BISECTION_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if rightmost_root(spec, mid).root.real < 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= BISECTION_REL_TOL * hi:
-            break
-    return 0.5 * (lo + hi)

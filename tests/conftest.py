@@ -85,6 +85,23 @@ def reference_oracle(m, tau, discretization_order=30):
     return complex(vals[np.abs(vals) > REFERENCE_NULL_CUTOFF][0])
 
 
+def bisect_crossing(spec, lo, hi):
+    """The delay in [lo, hi] where Re sc.rightmost_root changes sign, by bisection
+    to 1e-9 relative: a search for the crossing, the reference that tau_critical and
+    verify's two-scan crossing check are compared against."""
+    flo, fhi = (sc.rightmost_root(spec, tau).root.real for tau in (lo, hi))
+    assert flo < 0 < fhi, "[%g, %g] does not straddle the crossing" % (lo, hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if sc.rightmost_root(spec, mid).root.real < 0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-9 * hi:
+            break
+    return 0.5 * (lo + hi)
+
+
 def exact_system(g, eps):
     """M(eps) with Fraction entries: M(0) is an integer matrix and
     M(eps) = M(0) + eps [[0, I], [0, -I]], so for a rational eps it is exact."""

@@ -16,7 +16,7 @@ import pytest
 
 import surplus_consensus as sc
 
-from conftest import max_nonnull_real, reference_oracle
+from conftest import bisect_crossing, max_nonnull_real, reference_oracle
 
 SEED = 2024
 
@@ -86,7 +86,7 @@ def test_criterion_5_margin_vs_bisection(demo6):
     for eps in np.round(np.arange(0.2, 1.8001, 0.2), 10):
         spec = sc.spectrum(sc.build_system(demo6, eps))
         margin = sc.tau_critical(spec)
-        tau_star = sc.bisect_tau_crossing(spec, 0.5 * margin.tau_c, 2.0 * margin.tau_c)
+        tau_star = bisect_crossing(spec, 0.5 * margin.tau_c, 2.0 * margin.tau_c)
         worst = max(worst, abs(tau_star - margin.tau_c) / margin.tau_c)
     elapsed = time.time() - start
     report(5, "margin vs bisection", worst <= 1e-6 and elapsed < 60.0,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shlex
@@ -90,6 +91,21 @@ def test_analyze_bad_file(tmp_path, capsys):
     assert run(["analyze", "--graph", str(path)]) == 2
     assert run(["analyze", "--graph", str(tmp_path / "missing.edges")]) == 2
     assert run(["analyze", "--graph", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("name,content,message", [
+    ("bytes.edges", b"n 2\n1 2\n2 \xff1\n", "'utf-8' codec can't decode byte 0xff"),
+    ("deep.json", b"[" * 100_000, "maximum recursion depth exceeded"),
+    ("long.json", b'{"n": 1, "adjacency": [[' + b"1" * 5000 + b"]]}", "Exceeds the limit"),
+], ids=["not-utf-8", "json-nested-too-deep", "json-int-too-long"])
+def test_undecodable_graph_exits_2(tmp_path, capsys, name, content, message):
+    # undecodable bytes, JSON nested past the recursion limit and a JSON integer past
+    # Python's digit limit are malformed input, not internal errors (exit 6)
+    path = tmp_path / name
+    path.write_bytes(content)
+    assert run(["analyze", "--graph", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: %s" % (path, message)) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -297,16 +313,29 @@ def test_sweep_without_failures_writes_no_failure_file(tmp_path, capsys):
     assert not (out / "failures.csv").exists()
 
 
+def _scaled_tau_c(factor, tau_critical=sc.tau_critical):
+    return lambda spec: dataclasses.replace(tau_critical(spec),
+                                            tau_c=factor * tau_critical(spec).tau_c)
+
+
 def test_failed_check_exits_1(monkeypatch, capsys):
-    monkeypatch.setattr(cli.delay_mod, "rightmost_root_oracle", lambda *a: 1.0 + 0j)
-    assert run(["verify", "--graph", sc.demo_graph_path()]) == 1
-    captured = capsys.readouterr()
-    assert parse_summary(captured.out)["oracle_agreement"] == "FAIL"
-    assert captured.err == "failed checks: oracle_agreement\n"
-    # a failing run prints the keys of a passing one
-    assert list(parse_summary(captured.out)) == [
-        "command", "eps", "tau_c", "seed", "oracle_agreement", "crossing_bisection",
-        "conservation"]
+    # a wrong oracle, and a tau_c off by -1e-5, 1e-5 or a factor 3: the last is far
+    # past the crossing, and still a failed check with the full summary
+    for attr, fake, check in [
+            ("rightmost_root_oracle", lambda *a: 1.0 + 0j, "oracle_agreement"),
+            ("tau_critical", _scaled_tau_c(1.0 - 1e-5), "crossing_bisection"),
+            ("tau_critical", _scaled_tau_c(1.0 + 1e-5), "crossing_bisection"),
+            ("tau_critical", _scaled_tau_c(3.0), "crossing_bisection")]:
+        with monkeypatch.context() as patch:
+            patch.setattr(cli.delay_mod, attr, fake)
+            assert run(["verify", "--graph", sc.demo_graph_path()]) == 1, check
+        captured = capsys.readouterr()
+        assert parse_summary(captured.out)[check] == "FAIL"
+        assert captured.err == "failed checks: %s\n" % check
+        # a failing run prints the keys of a passing one
+        assert list(parse_summary(captured.out)) == [
+            "command", "eps", "tau_c", "seed", "oracle_agreement", "crossing_bisection",
+            "conservation"]
 
 
 def test_wrong_lambert_w_root_misses_the_oracle(demo6):

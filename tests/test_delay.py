@@ -11,7 +11,7 @@ import surplus_consensus as sc
 from surplus_consensus.delay import FOUR_UNIT_ROUNDOFF
 from surplus_consensus.system import Spectrum
 
-from conftest import max_nonnull_real, reference_oracle
+from conftest import bisect_crossing, max_nonnull_real, reference_oracle
 
 
 def fresh_lambert_w(z, k):
@@ -576,11 +576,51 @@ def test_negative_parameter_raises_with_a_plain_float(demo6, call, message):
     assert str(info.value) == message
 
 
+def crossing_certified(spec, tau_c):
+    """verify's crossing_bisection check: Re s* < 0 at tau_c (1 - 1e-6) and > 0 at
+    tau_c (1 + 1e-6)."""
+    below, above = (sc.rightmost_root(spec, f * tau_c).root.real
+                    for f in (1.0 - 1e-6, 1.0 + 1e-6))
+    return below < 0.0 < above
+
+
 def test_crossing_bisection_matches_margin(demo6):
     spec = sc.spectrum(sc.build_system(demo6, 1.1))
-    margin = sc.tau_critical(spec)
-    tau_star = sc.bisect_tau_crossing(spec, 0.5 * margin.tau_c, 2 * margin.tau_c)
-    assert tau_star == pytest.approx(margin.tau_c, rel=1e-6)
+    assert crossing_certified(spec, sc.tau_critical(spec).tau_c)
+
+
+@st.composite
+def _admissible_system(draw):
+    """A random strongly connected digraph on 2..8 nodes and an eps in (0, 2] at
+    which its spectrum is admissible, as a Spectrum."""
+    n = draw(st.integers(2, 8))
+    g = sc.random_strongly_connected(n, draw(st.integers(0, n * (n - 1))),
+                                     draw(st.integers(0, 2 ** 32 - 1)))
+    spec = sc.spectrum(sc.build_system(g, draw(st.floats(0.01, 2.0))))
+    try:
+        spec.require_admissible()
+    except sc.PreconditionViolated:
+        assume(False)
+    return spec
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(_admissible_system())
+def test_rightmost_root_crosses_zero_once_at_tau_c(spec):
+    # what verify's two-scan check rests on: each s = lambda_i e^{-s tau} has its roots
+    # cross the imaginary axis only rightwards as tau grows (Matsunaga 2007), so
+    # Re s*(tau) changes sign once, at tau_c; on a grid that misses tau_c, by scipy's
+    # W_k, k in [-2, 2]; and the check agrees with a bisection of rightmost_root
+    tau_c = sc.tau_critical(spec).tau_c
+    grid = np.linspace(0.5, 2.0, 150) * tau_c
+    z = grid[:, None, None] * spec.nonnull[None, :, None]
+    re = scipy.special.lambertw(z, np.arange(-2, 3)).real.max(axis=(1, 2)) / grid
+    changes = np.flatnonzero(np.diff(np.sign(re)))
+    assert changes.size == 1 and re[0] < 0
+    c = changes[0]
+    assert grid[c] < tau_c < grid[c + 1]
+    tau_star = bisect_crossing(spec, grid[c], grid[c + 1])
+    assert abs(tau_star - tau_c) <= 1e-6 * tau_c and crossing_certified(spec, tau_c)
 
 
 def test_oracle_agreement_random(random_graphs):
