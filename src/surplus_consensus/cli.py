@@ -99,17 +99,13 @@ def parse_seed(text):
 
 
 def load_graph(path):
-    """Load --graph; a file that cannot be read is bad graph input (exit 2)."""
+    """Load --graph by its suffix; an unreadable path, like a malformed file, exits 2."""
     try:
         if path.endswith(".json"):
             return graph_mod.load_adjacency_json(path)
         return graph_mod.load_edge_list(path)
     except OSError as exc:
         raise GraphFormatError(str(exc)) from exc
-    # bytes that are not UTF-8 or a JSON integer past Python's digit limit (ValueErrors),
-    # or JSON nested past the recursion limit
-    except (ValueError, RecursionError) as exc:
-        raise GraphFormatError("%s: %s" % (path, exc)) from exc
 
 
 def _make_out_dir(path):

@@ -13,6 +13,12 @@ import numpy as np
 from .errors import GraphFormatError, InvalidEdge, NotStronglyConnected, SelfLoopRejected
 
 
+# the most nodes of a graph that dense code may take: one build_system and one eigvals
+# allocate (8 + 16 + 8 + 32 + 32 + 32) n^2 bytes, for the adjacency, the two Laplacians,
+# the identity, M's four blocks, M and eigvals' copy of M, so about 0.5 GB at this n
+MAX_NODES = 2_000
+
+
 @dataclass(frozen=True)
 class DirectedGraph:
     """Unweighted digraph on nodes 1..n with no self-loops."""
@@ -55,6 +61,8 @@ def build_graph(n, edges):
 
 def adjacency(g):
     """A[i][j] = 1 iff (i+1, j+1) is an edge (0-based array, 1-based nodes)."""
+    if g.n > MAX_NODES:
+        raise GraphFormatError("graph has %d nodes, more than MAX_NODES = %d" % (g.n, MAX_NODES))
     a = np.zeros((g.n, g.n), dtype=np.int64)
     for (i, j) in g.edges:
         a[i - 1, j - 1] = 1
@@ -128,74 +136,72 @@ def load_edge_list(path):
     """
     n = None
     edges = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if n is None:
-                if len(fields) != 2 or fields[0] != "n":
-                    raise GraphFormatError(
-                        "%s:%d: expected header 'n <count>', got %r" % (path, lineno, line)
-                    )
-                try:
-                    n = int(fields[1])
-                except ValueError:
-                    raise GraphFormatError(
-                        "%s:%d: node count %r is not an integer" % (path, lineno, fields[1])
-                    )
-                continue
-            if len(fields) != 2:
-                raise GraphFormatError(
-                    "%s:%d: expected 'i j', got %r" % (path, lineno, line)
-                )
-            try:
-                i, j = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise GraphFormatError(
-                    "%s:%d: non-integer edge field in %r" % (path, lineno, line)
-                )
-            edges.append((i, j))
-    if n is None:
-        raise GraphFormatError("%s: missing 'n <count>' header" % path)
     try:
+        with open(path) as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                fields = line.split()
+                if n is None:
+                    if len(fields) != 2 or fields[0] != "n":
+                        raise GraphFormatError("%s:%d: expected header 'n <count>', got %r"
+                                               % (path, lineno, line))
+                    try:
+                        n = int(fields[1])
+                    except ValueError:
+                        raise GraphFormatError("%s:%d: node count %r is not an integer"
+                                               % (path, lineno, fields[1]))
+                    continue
+                if len(fields) != 2:
+                    raise GraphFormatError("%s:%d: expected 'i j', got %r" % (path, lineno, line))
+                try:
+                    i, j = int(fields[0]), int(fields[1])
+                except ValueError:
+                    raise GraphFormatError("%s:%d: non-integer edge field in %r"
+                                           % (path, lineno, line))
+                edges.append((i, j))
+        if n is None:
+            raise GraphFormatError("%s: missing 'n <count>' header" % path)
         return build_graph(n, edges)
-    except (InvalidEdge, SelfLoopRejected) as exc:
-        raise GraphFormatError("%s: %s" % (path, exc))
+    # every refused file is a GraphFormatError naming it: also bytes that are not
+    # UTF-8 (a ValueError) and edges the graph model refuses
+    except (ValueError, RecursionError, InvalidEdge, SelfLoopRejected) as exc:
+        raise GraphFormatError("%s: %s" % (path, exc)) from exc
 
 
 def load_adjacency_json(path):
     """Read the JSON adjacency format: {"n": ..., "adjacency": [[0/1, ...], ...]}."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GraphFormatError("%s: invalid JSON: %s" % (path, exc))
-    if not isinstance(doc, dict) or "n" not in doc or "adjacency" not in doc:
-        raise GraphFormatError("%s: expected object with fields 'n' and 'adjacency'" % path)
-    n = doc["n"]
-    rows = doc["adjacency"]
-    # bool is an int subclass, so JSON true and false would pass isinstance
-    if type(n) is not int or n < 1:
-        raise GraphFormatError("%s: field 'n' must be a positive integer" % path)
-    if not isinstance(rows, list) or len(rows) != n:
-        raise GraphFormatError("%s: 'adjacency' must be a list of %d rows" % (path, n))
-    edges = []
-    for r, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != n:
-            raise GraphFormatError("%s: adjacency row %d must have %d entries" % (path, r + 1, n))
-        for c, v in enumerate(row):
-            if type(v) is not int or v not in (0, 1):
-                raise GraphFormatError(
-                    "%s: adjacency[%d][%d] = %r is not in {0, 1}" % (path, r + 1, c + 1, v)
-                )
-            if v == 1:
-                edges.append((r + 1, c + 1))
     try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict) or "n" not in doc or "adjacency" not in doc:
+            raise GraphFormatError("%s: expected object with fields 'n' and 'adjacency'" % path)
+        n = doc["n"]
+        rows = doc["adjacency"]
+        # bool is an int subclass, so JSON true and false would pass isinstance
+        if type(n) is not int or n < 1:
+            raise GraphFormatError("%s: field 'n' must be a positive integer" % path)
+        if not isinstance(rows, list) or len(rows) != n:
+            raise GraphFormatError("%s: 'adjacency' must be a list of %d rows" % (path, n))
+        edges = []
+        for r, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != n:
+                raise GraphFormatError("%s: adjacency row %d must have %d entries"
+                                       % (path, r + 1, n))
+            for c, v in enumerate(row):
+                if type(v) is not int or v not in (0, 1):
+                    raise GraphFormatError("%s: adjacency[%d][%d] = %r is not in {0, 1}"
+                                           % (path, r + 1, c + 1, v))
+                if v == 1:
+                    edges.append((r + 1, c + 1))
         return build_graph(n, edges)
-    except (InvalidEdge, SelfLoopRejected) as exc:
-        raise GraphFormatError("%s: %s" % (path, exc))
+    except json.JSONDecodeError as exc:
+        raise GraphFormatError("%s: invalid JSON: %s" % (path, exc)) from exc
+    # as load_edge_list's, and a JSON integer past Python's digit limit (a ValueError)
+    # or JSON nested past the recursion limit
+    except (ValueError, RecursionError, InvalidEdge, SelfLoopRejected) as exc:
+        raise GraphFormatError("%s: %s" % (path, exc)) from exc
 
 
 def save_edge_list(g, path):

@@ -1,14 +1,19 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import surplus_consensus as sc
 from surplus_consensus import cli
@@ -106,6 +111,51 @@ def test_undecodable_graph_exits_2(tmp_path, capsys, name, content, message):
     assert run(["analyze", "--graph", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: %s: %s" % (path, message)) and err.count("\n") == 1
+    # the library reader refuses the file with the text the CLI prints
+    read = sc.load_adjacency_json if name.endswith(".json") else sc.load_edge_list
+    with pytest.raises(sc.GraphFormatError) as info:
+        read(str(path))
+    assert err == "error: %s\n" % info.value
+
+
+def _edits(valid):
+    """A truncated prefix of valid, or valid with one byte replaced."""
+    return st.one_of(
+        st.integers(0, len(valid) - 1).map(lambda k: valid[:k]),
+        st.tuples(st.integers(0, len(valid) - 1), st.binary(min_size=1, max_size=1)).map(
+            lambda edit: valid[:edit[0]] + edit[1] + valid[edit[0] + 1:]))
+
+
+_DEMO_EDGES = Path(sc.demo_graph_path()).read_bytes()
+_DEMO_JSON = json.dumps({"n": 6, "adjacency": sc.adjacency(
+    sc.load_edge_list(sc.demo_graph_path())).tolist()}).encode()
+_GRAPH_FILES = st.one_of(
+    st.tuples(st.sampled_from([".edges", ".json"]), st.binary(max_size=4096)),
+    st.tuples(st.just(".edges"), _edits(_DEMO_EDGES)),
+    st.tuples(st.just(".json"), _edits(_DEMO_JSON)))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_GRAPH_FILES)
+def test_any_graph_file_is_read_or_refused_as_graph_input(case):
+    # the readers return a graph or raise GraphFormatError, never another type, and
+    # analyze exits 0-5 with an error line iff it exits 2 or more
+    suffix, content = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g" + suffix)
+        with open(path, "wb") as fh:
+            fh.write(content)
+        read = sc.load_adjacency_json if suffix == ".json" else sc.load_edge_list
+        try:
+            assert isinstance(read(path), sc.DirectedGraph)
+        except sc.GraphFormatError:
+            pass
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(["analyze", "--graph", path])
+    assert 0 <= code <= 5
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    assert len(errors) == (code >= 2), errors
 
 
 @pytest.mark.parametrize("argv", [
@@ -208,7 +258,8 @@ def test_non_finite_value_is_a_usage_error(tmp_path, capsys, argv, message):
      "the run would compute more than 100000000 state values; raise dt or shorten t_final"),
     # y' = My: the spectrum answers it, and no kernel integrates it
     (["--tau", "0"], "tau must be positive, got 0.0"),
-], ids=["zero-steps", "over-the-cap", "tau-zero"])
+    (["--tau", "0.1", "--dt", "0"], "dt must be positive, got 0.0"),
+], ids=["zero-steps", "over-the-cap", "tau-zero", "dt-zero"])
 def test_simulate_grid_out_of_bounds_is_a_usage_error(tmp_path, capsys, monkeypatch,
                                                       argv, message):
     def refuse(*args):
@@ -590,6 +641,20 @@ def test_sweep_flag_the_mode_ignores_is_a_usage_error(tmp_path, capsys, mode, gi
 def test_usage_error_exits_4(argv, capsys):
     assert run(argv) == 4
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sweep", "--mode", "eps", "--eps-range", "a:0.1:1", "--out", "OUT"],
+     "error: range 'a:0.1:1' has a non-numeric field"),
+    (["verify", "--seed", "abc"],
+     "surplus-consensus verify: error: argument --seed: seed 'abc' is not an integer"),
+], ids=["eps-range", "seed"])
+def test_unparsable_value_exits_4_with_its_message(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    argv = [str(out) if a == "OUT" else a for a in argv]
+    assert run(argv + ["--graph", sc.demo_graph_path()]) == 4
+    assert capsys.readouterr().err.splitlines()[-1] == message
+    assert not out.exists()
 
 
 def test_help_exits_0(capsys):

@@ -27,6 +27,8 @@ def test_build_rejects_out_of_range():
         sc.build_graph(2, [(1, 3)])
     with pytest.raises(sc.InvalidEdge):
         sc.build_graph(2, [(0, 1)])
+    with pytest.raises(sc.InvalidEdge, match=r"^node count must be positive, got 0$"):
+        sc.build_graph(0, [])
 
 
 def test_duplicate_edges_collapse():
@@ -96,6 +98,27 @@ def test_node_count_typo_is_refused_without_per_node_memory(tmp_path, capsys):
     assert peak < 1_000_000
 
 
+def test_node_count_over_the_bound_is_refused_before_dense_arrays(tmp_path, capsys):
+    # a strongly connected cycle one node past the bound: n x n int64 would be 8 n^2 bytes
+    n = sc.graph.MAX_NODES + 1
+    path = tmp_path / "cycle.edges"
+    path.write_text("n %d\n" % n + "".join("%d %d\n" % (i, i % n + 1) for i in range(1, n + 1)))
+    message = "graph has %d nodes, more than MAX_NODES = %d" % (n, sc.graph.MAX_NODES)
+    tracemalloc.start()
+    try:
+        codes = [cli.main(["analyze", "--graph", str(path)] + eps) for eps in ([], ["--eps", "1"])]
+        g = sc.load_edge_list(str(path))
+        with pytest.raises(sc.GraphFormatError) as info:
+            sc.laplacians(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert codes == [2, 2]
+    assert capsys.readouterr().err == ("error: %s\n" % message) * 2
+    assert str(info.value) == message
+    assert peak < 8 * n * n // 10
+
+
 def test_balanced(two_node, demo6, three_cycle):
     assert sc.is_balanced(two_node)
     assert not sc.is_balanced(demo6)  # node 1: in-degree 3, out-degree 2
@@ -163,6 +186,27 @@ def test_edge_list_out_of_range(tmp_path):
     path.write_text("n 3\n1 7\n")
     with pytest.raises(sc.GraphFormatError):
         sc.load_edge_list(str(path))
+
+
+@pytest.mark.parametrize("name, content, message", [
+    ("g.edges", "n x\n1 2\n", ":1: node count 'x' is not an integer"),
+    ("g.edges", "# no header\n\n", ": missing 'n <count>' header"),
+    ("g.edges", "n 0\n", ": node count must be positive, got 0"),
+    ("g.json", "[]", ": expected object with fields 'n' and 'adjacency'"),
+    ("g.json", '{"n": 2, "adjacency": [[0, 1]]}', ": 'adjacency' must be a list of 2 rows"),
+    ("g.json", '{"n": 2, "adjacency": [[0, 1], [1]]}', ": adjacency row 2 must have 2 entries"),
+    ("g.json", '{"n": 2, "adjacency": [[1, 1], [1, 0]]}', ": self-loop (1, 1) rejected"),
+], ids=["header-not-integer", "no-header", "header-zero", "json-not-object",
+        "json-row-count", "json-short-row", "json-diagonal"])
+def test_refused_file_names_itself_and_exits_2(tmp_path, capsys, name, content, message):
+    path = tmp_path / name
+    path.write_text(content)
+    read = sc.load_adjacency_json if name.endswith(".json") else sc.load_edge_list
+    with pytest.raises(sc.GraphFormatError) as info:
+        read(str(path))
+    assert str(info.value) == "%s%s" % (path, message)
+    assert cli.main(["analyze", "--graph", str(path)]) == 2
+    assert capsys.readouterr().err == "error: %s%s\n" % (path, message)
 
 
 def test_adjacency_json(tmp_path, two_node):

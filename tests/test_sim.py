@@ -161,6 +161,13 @@ def test_x0_not_one_dimensional_rejected(demo6):
         sc.simulate(np.zeros((0, 0)), cfg)
 
 
+def test_z0_of_another_length_rejected(demo6):
+    cfg = sc.SimConfig(tau=0.18, x0=np.ones(6), z0=np.zeros(5))
+    with pytest.raises(sc.InvalidConfig) as info:
+        sc.simulate(sc.build_system(demo6, 1.3), cfg)
+    assert str(info.value) == "x0 and z0 must have the same length"
+
+
 @pytest.mark.parametrize("shape", [(10, 10), (12, 13), (12, 1), (12,)],
                          ids=["10x10", "12x13", "12x1", "12"])
 def test_system_shape_mismatch_rejected(shape):

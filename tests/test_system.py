@@ -299,6 +299,16 @@ def test_find_eps_bar_two_node(two_node):
     assert value in grid
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda g: sc.find_eps_bar(g, []), "eps_grid must be non-empty"),
+    (lambda g: sc.stability_map(g, [], [0.1]), "grids must be non-empty"),
+], ids=["find_eps_bar", "stability_map"])
+def test_empty_grid_rejected(demo6, call, message):
+    with pytest.raises(sc.InvalidParameter) as info:
+        call(demo6)
+    assert str(info.value) == message
+
+
 def test_find_eps_bar_no_admissible():
     # the directed 6-cycle loses stability well below eps = 2
     ring = sc.build_graph(6, [(i, i % 6 + 1) for i in range(1, 7)])
