@@ -7,6 +7,7 @@ each scalar equation's generator cross-checks them.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -25,11 +26,6 @@ LAMBERT_W_TOL = 1e-12
 FOUR_UNIT_ROUNDOFF = 2.0 ** -51  # 4u, u = 2^-53 the unit roundoff of a double
 LAMBERT_W_MAX_ITER = 100  # Halley steps per start point
 ORACLE_ORDER = 30  # Chebyshev collocation order: 31 x 31 scalar generators
-
-# the branches lambert_w solved for the last argument, {z folded to Im z >= 0:
-# {branch: w}}: the call for a conjugate eigenvalue finds its mirror's; a dict of
-# dicts, so that two threads calling at once lose a branch at worst
-_mirror = {}
 
 
 @dataclass(frozen=True)
@@ -79,9 +75,9 @@ def lambert_w(z, k=0):
     on another branch is followed by the next. Within Im z <= 4u |z| of the cut
     [-1/e, 0) both real branches have unwinding number 0, so W_-1 is exempt.
     Im z < 0 is solved as conj W_-k(conj z); a signed zero Im z takes the value from above.
-    So W_k(conj z) = conj W_-k(z) is one solve: the branches of the last argument
-    folded to Im z >= 0 are kept, and the mirror call returns the kept w, bit for
-    bit what a fresh solve gives. A new argument drops them; a failure is not kept.
+    So W_k(conj z) = conj W_-k(z) is one solve: the last five solves (z folded to
+    Im z >= 0, k) are kept, one eigenvalue's branches in rightmost_root, and a mirror
+    call returns the kept w, bit for bit a fresh solve's. A failure is not kept.
     """
     z = complex(z) + 0.0
     k = int(k)
@@ -90,30 +86,33 @@ def lambert_w(z, k=0):
             return 0j
         raise NumericalFailure("branch %d of W is singular at z = 0" % k)
     lower = z.imag < 0
-    zu, ku = (z.conjugate(), -k) if lower else (z, k)
-    branches = _mirror.get(zu)
-    if branches is None:
-        _mirror.clear()
-        branches = _mirror[zu] = {}
-    elif ku in branches:
-        w = branches[ku]
-        return w.conjugate() if lower else w
-    real_branch = (ku == -1 and zu.imag <= FOUR_UNIT_ROUNDOFF * abs(zu)
-                   and -1.0 / math.e <= zu.real < 0)
-    log_z = cmath.log(zu)
-    two_pi_k = 2.0 * math.pi * ku
+    try:
+        w = _upper(z.conjugate(), -k) if lower else _upper(z, k)
+    except NumericalFailure:  # named for the caller's z and k, not the folded ones
+        raise NumericalFailure("Lambert W branch %d failed to converge for z = %r"
+                               % (k, z)) from None
+    return w.conjugate() if lower else w
+
+
+@functools.lru_cache(maxsize=5)
+def _upper(z, k):
+    """lambert_w(z, k) for Im z >= 0; NumericalFailure if no start point converges."""
+    real_branch = (k == -1 and z.imag <= FOUR_UNIT_ROUNDOFF * abs(z)
+                   and -1.0 / math.e <= z.real < 0)
+    log_z = cmath.log(z)
+    two_pi_k = 2.0 * math.pi * k
     log_zk = log_z + two_pi_k * 1j
     abs_z = abs(z)
     bound = max(LAMBERT_W_TOL * abs_z if abs_z < 1.0 else LAMBERT_W_TOL,
                 FOUR_UNIT_ROUNDOFF * abs_z * (1.0 + abs(log_zk)))
-    for w in _start_points(zu, ku, real_branch, log_zk):
+    for w in _start_points(z, k, real_branch, log_zk):
         try:
             stalled = False
             # the loop exits only after computing f for the current w, so the
             # residual checked is that of the w returned
             for i in range(LAMBERT_W_MAX_ITER + 1):
                 ew = cmath.exp(w)
-                f = w * ew - zu
+                f = w * ew - z
                 if abs(f) <= bound or stalled or i == LAMBERT_W_MAX_ITER:
                     break
                 wp1 = w + 1.0
@@ -125,9 +124,8 @@ def lambert_w(z, k=0):
             continue
         if abs(f) <= bound and (
                 real_branch or abs((w + cmath.log(w) - log_z).imag - two_pi_k) < math.pi):
-            branches[ku] = w
-            return w.conjugate() if lower else w
-    raise NumericalFailure("Lambert W branch %d failed to converge for z = %r" % (k, z))
+            return w
+    raise NumericalFailure("no start point converged")
 
 
 def _start_points(z, k, real_branch, log_zk):
@@ -209,7 +207,7 @@ def rightmost_root(spec, tau):
     So a branch k != 0 that raises NumericalFailure is skipped, and only a W_0
     failure fails the scan. The null eigenvalue contributes only s = 0 and is
     excluded. The spectrum lists a conjugate pair side by side, so lambert_w
-    answers the second eigenvalue's five branches from the first's.
+    answers the second's five branches from the first's kept solves (not its failures).
     """
     _require_positive_delay(tau)
     best, best_re, best_im = None, -math.inf, -math.inf

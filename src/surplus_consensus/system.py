@@ -135,19 +135,33 @@ def lambda2_slope(g):
 
 def find_eps_bar(g, eps_grid):
     """Largest grid value whose whole prefix yields an admissible spectrum
-    (Spectrum.require_admissible); a numerical estimate, not a provable supremum."""
+    (Spectrum.require_admissible); a numerical estimate, not a provable supremum.
+    Assumes the admissible eps form one interval (0, eps_bar), as on a balanced
+    digraph and on every random digraph tried, and bisects the grid index after its
+    first and last points: about log2(len(eps_grid)) spectra. The grid must ascend."""
     eps_grid = list(eps_grid)
     if not eps_grid:
         raise InvalidParameter("eps_grid must be non-empty")
-    best = None
-    for eps in eps_grid:
+    require_non_negative("epsilon", eps_grid)
+    if any(b < a for a, b in zip(eps_grid, eps_grid[1:])):
+        raise InvalidParameter("eps_grid must ascend")
+
+    def admissible(i):
         try:
-            spectrum(build_system(g, eps)).require_admissible()
+            spectrum(build_system(g, eps_grid[i])).require_admissible()
         except PreconditionViolated:
-            break
-        best = eps
-    if best is None:
+            return False
+        return True
+
+    if not admissible(0):
         raise NoAdmissibleEpsilon(
             "smallest grid point %r already yields an unstable system" % (eps_grid[0],)
         )
-    return best
+    lo, hi = 0, len(eps_grid)  # eps_grid[lo] is admissible, eps_grid[hi] is not or past the end
+    while hi - lo > 1:
+        mid = hi - 1 if hi == len(eps_grid) else (lo + hi) // 2  # the last point first
+        if admissible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return eps_grid[lo]

@@ -102,6 +102,20 @@ def bisect_crossing(spec, lo, hi):
     return 0.5 * (lo + hi)
 
 
+def scan_eps_bar(g, eps_grid):
+    """The last point of eps_grid's admissible prefix by a scan from the first, or
+    None if the first point is not admissible: the reference that sc.find_eps_bar's
+    bisection is checked against, since the scan needs no interval assumption."""
+    best = None
+    for eps in eps_grid:
+        try:
+            sc.spectrum(sc.build_system(g, eps)).require_admissible()
+        except sc.PreconditionViolated:
+            break
+        best = eps
+    return best
+
+
 def exact_system(g, eps):
     """M(eps) with Fraction entries: M(0) is an integer matrix and
     M(eps) = M(0) + eps [[0, I], [0, -I]], so for a rational eps it is exact."""

@@ -184,6 +184,28 @@ def test_no_nonnull_eigenvalue_is_one_error_line(tmp_path, capsys, argv):
     assert capsys.readouterr().err == "error: spectrum has no non-null eigenvalue\n"
 
 
+@pytest.mark.parametrize("argv,fails", [
+    (["analyze"], lambda a: True),
+    (["verify"], lambda a: np.ndim(a) == 3),
+], ids=["analyze-spectrum", "verify-oracle"])
+def test_eigensolver_failure_exits_5(monkeypatch, capsys, argv, fails):
+    # np.linalg.eigvals raising LinAlgError is a NumericalFailure, exit 5: in
+    # system.spectrum, which every command calls, and in rightmost_root_oracle, which
+    # only verify calls and which solves its scalar generators as one 3-D stack
+    eigvals = np.linalg.eigvals
+
+    def patched(a):
+        if fails(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", patched)
+    assert run(argv + ["--graph", sc.demo_graph_path()]) == 5
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: eigenvalue computation failed: "
+                              "Eigenvalues did not converge\n")
+
+
 @pytest.mark.parametrize("mode,ranges,row", [
     ("two_d", ["--eps-range", "0:0.5:0", "--tau-range", "0:0.1:0"],
      "0,0,spectrum has no non-null eigenvalue"),
@@ -527,16 +549,19 @@ def test_simulate_reports_the_horizon_it_integrated(tmp_path, capsys):
 # the seeded x0 comes from the standard library's generator: importing
 # numpy.random would load hashlib and OpenSSL into every run; _csv_format builds
 # its formatting tables from Python ints, as fractions or decimal would add
-# their import to every run; and a CSV run formats in its own process, so
-# neither multiprocessing nor signal is loaded
+# their import to every run; a CSV run formats in its own process, so
+# neither multiprocessing nor signal is loaded; and scipy is a test reference
+# only. simulate and a two_d sweep are the benchmark's two commands
 FRESH_CLI_RUN = """
 import sys
 from surplus_consensus import cli, demo_graph_path
 for argv in (["simulate", "--eps", "1.3", "--tau", "0.18", "--t-final", "5", "--out", sys.argv[1]],
+             ["sweep", "--mode", "two_d", "--eps-range", "0.5:0.5:1", "--tau-range", "0:0.1:0.2",
+              "--out", sys.argv[2]],
              ["verify"]):
     assert cli.main(argv + ["--graph", demo_graph_path()]) == 0
-print([name for name in ("numpy.random", "fractions", "decimal", "multiprocessing", "signal")
-       if name in sys.modules])
+print([name for name in ("numpy.random", "fractions", "decimal", "multiprocessing", "signal",
+                         "scipy") if name in sys.modules])
 """
 
 
@@ -544,7 +569,8 @@ def test_cli_never_imports_numpy_random(tmp_path):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", FRESH_CLI_RUN, str(tmp_path / "out")], env=env,
+    proc = subprocess.run([sys.executable, "-c", FRESH_CLI_RUN, str(tmp_path / "out"),
+                           str(tmp_path / "sweep")], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"

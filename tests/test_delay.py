@@ -14,10 +14,28 @@ from surplus_consensus.system import Spectrum
 from conftest import bisect_crossing, max_nonnull_real, reference_oracle
 
 
+@pytest.fixture(autouse=True)
+def no_kept_solve():
+    """Each test starts with no lambert_w solve kept, and leaves none that a patched
+    cap or start point made."""
+    sc.delay._upper.cache_clear()
+    yield
+    sc.delay._upper.cache_clear()
+
+
 def fresh_lambert_w(z, k):
     """lambert_w(z, k) solved from scratch: nothing kept from an earlier call."""
-    sc.delay._mirror.clear()
+    sc.delay._upper.cache_clear()
     return sc.lambert_w(z, k)
+
+
+def uncached_lambert_w(z, k):
+    """lambert_w(z, k) by the upper half-plane solver past its cache: it neither
+    reads nor keeps a solve."""
+    z = complex(z)
+    if z.imag < 0:
+        return sc.delay._upper.__wrapped__(z.conjugate(), -k).conjugate()
+    return sc.delay._upper.__wrapped__(z, k)
 
 
 def bits(w):
@@ -104,15 +122,16 @@ def test_principal_branch_matches_scipy_and_dominates(x, y):
 def test_lambert_w_returns_only_a_w_that_meets_the_bound(monkeypatch):
     # with a few Halley steps the iterate is still moving: lambert_w either raises
     # or returns a w whose own residual, not an earlier iterate's, meets the bound;
-    # at 2e3 - 1e4j that bound is the rounding term, 4.7e-11 to 8.0e-11
+    # at 2e3 - 1e4j that bound is the rounding term, 4.7e-11 to 8.0e-11. The w is
+    # this cap's own solve: the kept solves are dropped at each change of the cap,
+    # so none made under another cap answers
     rng = np.random.RandomState(3)
     zs = (rng.uniform(-50, 50, 40) + 1j * rng.uniform(-50, 50, 40)).tolist()
     zs += [-0.3 + 1e-3j, -0.3 - 1e-16j, 2e3 - 1e4j, 1e-10]
     returned = raised = 0
     for max_iter in range(4):
         monkeypatch.setattr(sc.delay, "LAMBERT_W_MAX_ITER", max_iter)
-        # a branch kept from another cap must not answer, nor one from this cap outlive it
-        monkeypatch.setattr(sc.delay, "_mirror", {})
+        sc.delay._upper.cache_clear()
         for z in zs:
             for k in range(-2, 3):
                 try:
@@ -122,6 +141,7 @@ def test_lambert_w_returns_only_a_w_that_meets_the_bound(monkeypatch):
                     continue
                 returned += 1
                 assert abs(w * cmath.exp(w) - z) <= residual_bound(z, k)
+                assert bits(w) == bits(uncached_lambert_w(z, k))
     assert returned > 0 and raised > 0
 
 
@@ -149,8 +169,8 @@ def test_lambert_w_large_arguments_match_scipy():
 
 def test_lambert_w_lower_half_plane_mirrors_the_upper():
     # W_k(conj z) = conj W_-k(z): Im z < 0 is solved on the upper half-plane, and
-    # the second call of a mirror pair, in either order, takes the first one's w
-    # yet gives each argument, bit for bit, what a fresh solve of it gives
+    # the second call of a mirror pair, in either order, takes the first one's kept
+    # w yet gives each argument, bit for bit, what a fresh solve of it gives
     rng = np.random.RandomState(17)
     for _ in range(200):
         z = complex(rng.uniform(-8, 8), rng.uniform(0.0, 8))
@@ -159,59 +179,62 @@ def test_lambert_w_lower_half_plane_mirrors_the_upper():
         expected = {arg: bits(fresh_lambert_w(*arg)) for arg in pair}
         assert sc.lambert_w(*pair[1]) == sc.lambert_w(*pair[0]).conjugate()
         for order in (pair, pair[::-1]):
-            sc.delay._mirror.clear()
+            sc.delay._upper.cache_clear()
             for arg in order:
                 assert bits(sc.lambert_w(*arg)) == expected[arg]
-            assert list(sc.delay._mirror) == [z] and list(sc.delay._mirror[z]) == [k]
+            info = sc.delay._upper.cache_info()
+            assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
 def test_lambert_w_does_not_keep_a_failed_branch(monkeypatch):
     # with no Halley step no start point at z meets the bound: the failure is not
-    # kept, so the mirror call fails too, and once the cap is back it is solved
+    # kept, so the mirror call is solved and fails too, each naming its own z and k,
+    # and once the cap is back the mirror is solved anew
     z, k, cap = 1.5 + 2.5j, 0, sc.delay.LAMBERT_W_MAX_ITER
     for first, mirror in (((z, k), (z.conjugate(), -k)), ((z.conjugate(), -k), (z, k))):
         monkeypatch.setattr(sc.delay, "LAMBERT_W_MAX_ITER", 0)
-        monkeypatch.setattr(sc.delay, "_mirror", {})
+        sc.delay._upper.cache_clear()
         for arg in (first, mirror):
-            with pytest.raises(sc.NumericalFailure):
+            with pytest.raises(sc.NumericalFailure) as info:
                 sc.lambert_w(*arg)
-        assert list(sc.delay._mirror.values()) == [{}]
+            assert str(info.value) == (
+                "Lambert W branch %d failed to converge for z = %r" % (arg[1], arg[0]))
+        info = sc.delay._upper.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
         monkeypatch.setattr(sc.delay, "LAMBERT_W_MAX_ITER", cap)
         w = sc.lambert_w(*mirror)
+        info = sc.delay._upper.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 3, 1)
         assert bits(w) == bits(fresh_lambert_w(*mirror))
         assert abs(w * cmath.exp(w) - mirror[0]) <= residual_bound(*mirror)
 
 
-def test_lambert_w_solves_an_argument_one_ulp_away_anew(monkeypatch):
-    monkeypatch.setattr(sc.delay, "_mirror", {})
+def test_lambert_w_solves_an_argument_one_ulp_away_anew():
     z, k = 1.5 + 2.5j, -1
     near = complex(math.nextafter(z.real, math.inf), z.imag)
     assert bits(fresh_lambert_w(near, k)) != bits(fresh_lambert_w(z, k))
     for arg in ((near, k), (near.conjugate(), -k)):
-        sc.delay._mirror.clear()
+        expected = bits(fresh_lambert_w(*arg))
+        sc.delay._upper.cache_clear()
         sc.lambert_w(z, k)
-        assert bits(sc.lambert_w(*arg)) == bits(fresh_lambert_w(*arg))
-        # the new argument's branch replaced the old one's
-        sc.lambert_w(z, k)
-        assert list(sc.delay._mirror) == [z] and list(sc.delay._mirror[z]) == [k]
+        assert bits(sc.lambert_w(*arg)) == expected
+        # the argument one ulp away was solved, not answered by z's kept w
+        info = sc.delay._upper.cache_info()
+        assert (info.hits, info.misses) == (0, 2)
 
 
 def test_root_scan_solves_each_conjugate_pair_once(monkeypatch):
     # 180 conjugate pairs, 39 real eigenvalues and the null one: the scan's 1,995
-    # calls solve 5 branches of each of 219 arguments, and afterwards lambert_w
-    # keeps the last argument's only
+    # calls solve 5 branches of each of 219 arguments, answer the 900 calls of the
+    # pairs' second eigenvalues from the kept solves, and keep five solves at most
     rng = np.random.RandomState(23)
     upper = -rng.uniform(0.1, 30, 180) + 1j * rng.uniform(0.1, 30, 180)
     spec = Spectrum(np.concatenate([upper, upper.conjugate(), -rng.uniform(0.1, 30, 39), [0]]))
     tau = 0.1
 
-    class Forgetful(dict):
-        def __setitem__(self, key, value):
-            pass
-
-    monkeypatch.setattr(sc.delay, "_mirror", Forgetful())
-    expected = sc.rightmost_root(spec, tau)
-    monkeypatch.setattr(sc.delay, "_mirror", {})
+    with monkeypatch.context() as patch:
+        patch.setattr(sc.delay, "_upper", sc.delay._upper.__wrapped__)
+        expected = sc.rightmost_root(spec, tau)
     start_points, solves = sc.delay._start_points, []
 
     def counted(z, k, *args):
@@ -223,9 +246,27 @@ def test_root_scan_solves_each_conjugate_pair_once(monkeypatch):
     assert (bits(root.root), root.source_eigenvalue_index, root.residual) == (
         bits(expected.root), expected.source_eigenvalue_index, expected.residual)
     assert len(solves) == len(set(solves)) == 5 * 219
-    last = complex(tau * spec.nonnull[-1])
-    last = last.conjugate() if last.imag < 0 else last
-    assert list(sc.delay._mirror) == [last] and sorted(sc.delay._mirror[last]) == [-2, -1, 0, 1, 2]
+    info = sc.delay._upper.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (5 * 180, 5 * 219, 5)
+
+
+def test_lambert_w_skips_a_start_point_that_overflows(monkeypatch):
+    # Halley from w = 1000 overflows in exp(w) at once: that start point is skipped
+    # and the next one gives, bit for bit, what an unpatched solve gives
+    start_points, tried = sc.delay._start_points, []
+
+    def overflowing_first(*args):
+        tried.append(args[:2])
+        yield 1000.0 + 0j
+        yield from start_points(*args)
+
+    for z, k in ((1.5 + 2.5j, 0), (1.5 - 2.5j, 1), (-0.3 + 0j, -1), (2e3 - 1e4j, 2)):
+        expected = bits(fresh_lambert_w(z, k))
+        sc.delay._upper.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(sc.delay, "_start_points", overflowing_first)
+            assert bits(sc.lambert_w(z, k)) == expected
+    assert len(tried) == 4
 
 
 def test_lambert_w_just_below_the_cut():
@@ -548,6 +589,29 @@ def test_stability_map_keeps_each_cells_whole_root(demo6):
             assert smap.source_index[a, b] == root.source_eigenvalue_index
             assert smap.residual[a, b] == root.residual
     assert np.array_equal(smap.lambda_r_real, smap.roots.real)
+
+
+def test_stability_map_lists_every_cell_of_a_row_whose_spectrum_fails(monkeypatch, demo6):
+    # a failed eigensolve at one eps fails that row's every cell, with its reason,
+    # and leaves the other rows as an unpatched run has them
+    eps_grid, tau_grid = [0.8, 1.1, 1.4], [0.0, 0.1, 0.3]
+    expected = sc.stability_map(demo6, eps_grid, tau_grid)
+    spectrum, reason = sc.delay.system_mod.spectrum, "eigenvalue computation failed: patched"
+
+    def failing_at_1_1(m):
+        if m[0, demo6.n] == 1.1:  # M(eps)'s top-right block is eps I
+            raise sc.NumericalFailure(reason)
+        return spectrum(m)
+
+    monkeypatch.setattr(sc.delay.system_mod, "spectrum", failing_at_1_1)
+    smap = sc.stability_map(demo6, eps_grid, tau_grid)
+    assert smap.failures == [(1, b, reason) for b in range(3)]
+    assert np.isnan(smap.roots[1]).all() and np.isnan(smap.residual[1]).all()
+    assert (smap.source_index[1] == -1).all()
+    for a in (0, 2):
+        assert np.array_equal(smap.roots[a], expected.roots[a])
+        assert np.array_equal(smap.source_index[a], expected.source_index[a])
+        assert np.array_equal(smap.residual[a], expected.residual[a], equal_nan=True)
 
 
 def test_stability_map_failed_cells_hold_nan():

@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import surplus_consensus as sc
 from surplus_consensus import cli, system
 
-from conftest import exact_null_vector, max_nonnull_real
+from conftest import exact_null_vector, max_nonnull_real, scan_eps_bar
 
 
 def test_block_structure(demo6):
@@ -301,12 +305,58 @@ def test_find_eps_bar_two_node(two_node):
 
 @pytest.mark.parametrize("call, message", [
     (lambda g: sc.find_eps_bar(g, []), "eps_grid must be non-empty"),
+    (lambda g: sc.find_eps_bar(g, [0.1, 0.3, 0.2]), "eps_grid must ascend"),
+    (lambda g: sc.find_eps_bar(g, [0.1, math.nan, 0.3]), "epsilon must be finite, got nan"),
     (lambda g: sc.stability_map(g, [], [0.1]), "grids must be non-empty"),
-], ids=["find_eps_bar", "stability_map"])
+], ids=["find_eps_bar", "find_eps_bar-descending", "find_eps_bar-nan", "stability_map"])
 def test_empty_grid_rejected(demo6, call, message):
     with pytest.raises(sc.InvalidParameter) as info:
         call(demo6)
     assert str(info.value) == message
+
+
+def test_find_eps_bar_bisects_the_grid(demo6, eigensolves):
+    # verify's grid is admissible throughout on demo6: the first and the last point
+    # decide it, two spectra where a scan takes twenty
+    grid = np.linspace(0.1, 2.0, 20)
+    eps_bar = sc.find_eps_bar(demo6, grid)
+    assert len(eigensolves) == 2
+    assert eps_bar == scan_eps_bar(demo6, grid) == grid[-1]
+    # the directed 6-cycle loses stability inside the grid: after its two ends the
+    # bisection takes at most ceil(log2(59)) spectra
+    ring = sc.build_graph(6, [(i, i % 6 + 1) for i in range(1, 7)])
+    grid = np.round(np.arange(0.05, 3.0001, 0.05), 10)
+    del eigensolves[:]
+    eps_bar = sc.find_eps_bar(ring, grid)
+    assert 2 < len(eigensolves) <= 2 + math.ceil(math.log2(grid.size - 1))
+    assert eps_bar == scan_eps_bar(ring, grid) < grid[-1]
+
+
+@st.composite
+def _graph_and_eps_grid(draw):
+    """A random strongly connected digraph on 2..10 nodes and a grid like verify's:
+    m = 1..60 points evenly spaced from top / m to top = 0.1..20. Half the draws
+    take at most two extra edges: a digraph near its Hamiltonian cycle loses
+    stability inside the grid more often than a dense one."""
+    n = draw(st.sampled_from(range(2, 11)))
+    extra = draw(st.one_of(st.integers(0, 2), st.integers(0, n * (n - 1))))
+    g = sc.random_strongly_connected(n, extra, draw(st.integers(0, 2 ** 32 - 1)))
+    top, m = draw(st.sampled_from(range(1, 201))) / 10, draw(st.sampled_from(range(1, 61)))
+    return g, np.linspace(top / m, top, m).tolist()
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_graph_and_eps_grid())
+def test_find_eps_bar_bisection_matches_the_scan(case):
+    # the bisection assumes the admissible eps form one interval (0, eps_bar); a
+    # graph and grid where it and the scan disagree is a counterexample to that
+    g, grid = case
+    expected = scan_eps_bar(g, grid)
+    if expected is None:
+        with pytest.raises(sc.NoAdmissibleEpsilon):
+            sc.find_eps_bar(g, grid)
+    else:
+        assert sc.find_eps_bar(g, grid) == expected
 
 
 def test_find_eps_bar_no_admissible():
