@@ -22,7 +22,6 @@ from .errors import (
     require_non_negative,
 )
 
-LAMBERT_W_TOL = 1e-12
 FOUR_UNIT_ROUNDOFF = 2.0 ** -51  # 4u, u = 2^-53 the unit roundoff of a double
 LAMBERT_W_MAX_ITER = 100  # Halley steps per start point
 ORACLE_ORDER = 30  # Chebyshev collocation order: 31 x 31 scalar generators
@@ -68,12 +67,10 @@ def lambert_w(z, k=0):
 
     Returns w with unwinding number k, Im(w + Log w - Log z) = 2 pi k (Corless et
     al., Adv. Comput. Math. 5, 1996), since the residual alone cannot tell
-    branches apart, and |w e^w - z| <= max(LAMBERT_W_TOL min(1, |z|),
-    FOUR_UNIT_ROUNDOFF |z| (1 + |Log z + 2 pi i k|)): relative for tiny |z|, where
-    any w with Re w << 0 meets an absolute bound, and the rounding error of w e^w,
-    |w| ~ |Log z + 2 pi i k|, for large |z|. A start point that diverges or lands
-    on another branch is followed by the next. Within Im z <= 4u |z| of the cut
-    [-1/e, 0) both real branches have unwinding number 0, so W_-1 is exempt.
+    branches apart, and |w e^w - z| <= FOUR_UNIT_ROUNDOFF |z| (1 + |Log z + 2 pi i k|),
+    the rounding error of w e^w, |w| ~ |Log z + 2 pi i k|. A start point that diverges
+    or lands on another branch is followed by the next. Within Im z <= 4u |z| of the
+    cut [-1/e, 0) both real branches have unwinding number 0, so W_-1 is exempt.
     Im z < 0 is solved as conj W_-k(conj z); a signed zero Im z takes the value from above.
     So W_k(conj z) = conj W_-k(z) is one solve: the last five solves (z folded to
     Im z >= 0, k) are kept, one eigenvalue's branches in rightmost_root, and a mirror
@@ -102,9 +99,7 @@ def _upper(z, k):
     log_z = cmath.log(z)
     two_pi_k = 2.0 * math.pi * k
     log_zk = log_z + two_pi_k * 1j
-    abs_z = abs(z)
-    bound = max(LAMBERT_W_TOL * abs_z if abs_z < 1.0 else LAMBERT_W_TOL,
-                FOUR_UNIT_ROUNDOFF * abs_z * (1.0 + abs(log_zk)))
+    bound = FOUR_UNIT_ROUNDOFF * abs(z) * (1.0 + abs(log_zk))
     for w in _start_points(z, k, real_branch, log_zk):
         try:
             stalled = False

@@ -116,6 +116,27 @@ def scan_eps_bar(g, eps_grid):
     return best
 
 
+def balanced_roots(mu, eps):
+    """The eigenvalues of M(eps) on a balanced digraph whose Laplacian L_in = L_out
+    has the eigenvalues mu: eliminating z gives det(lambda I - M(eps)) =
+    det((L + lambda I)^2 + eps lambda I), so each mu gives the two roots of
+    lambda^2 + (2 mu + eps) lambda + mu^2."""
+    mu = np.asarray(mu, dtype=complex)
+    b = 2.0 * mu + eps
+    d = np.sqrt(eps * (4.0 * mu + eps))  # the discriminant b^2 - 4 mu^2
+    return np.concatenate([(-b + d) / 2.0, (-b - d) / 2.0])
+
+
+def balanced_eps_bar(mu):
+    """sup of the admissible eps on that balanced digraph: a root lambda = i omega
+    of one quadratic gives eps = 2 (Re mu)^2 / (|Im mu| - Re mu), so eps_bar is the
+    least of these over the mu with |Im mu| > Re mu, and inf if there is none."""
+    mu = np.asarray(mu, dtype=complex)
+    mu = mu[np.abs(mu.imag) > mu.real]
+    eps = 2.0 * mu.real ** 2 / (np.abs(mu.imag) - mu.real)
+    return float(np.min(eps, initial=math.inf))
+
+
 def exact_system(g, eps):
     """M(eps) with Fraction entries: M(0) is an integer matrix and
     M(eps) = M(0) + eps [[0, I], [0, -I]], so for a rational eps it is exact."""

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import surplus_consensus as sc
 from surplus_consensus import cli, system
 
-from conftest import exact_null_vector, max_nonnull_real, scan_eps_bar
+from conftest import (balanced_eps_bar, balanced_roots, exact_null_vector,
+                      max_nonnull_real, scan_eps_bar)
 
 
 def test_block_structure(demo6):
@@ -365,6 +366,51 @@ def test_find_eps_bar_no_admissible():
     with pytest.raises(sc.NoAdmissibleEpsilon):
         sc.find_eps_bar(ring, [2.0, 5.0])
 
+
+# ------------------------------------------------- cycles, in closed form
+
+def directed_cycle(n):
+    # node i listens to node i + 1: L = I - P, P the cyclic shift
+    return sc.build_graph(n, [(i, i % n + 1) for i in range(1, n + 1)])
+
+
+def cycle_mu(n):
+    """The eigenvalues 1 - e^{2 pi i j / n} of the directed n-cycle's Laplacian."""
+    return 1.0 - np.exp(2j * np.pi * np.arange(n) / n)
+
+
+def test_spectrum_of_directed_cycles_is_the_quadratics_roots():
+    # each mu of L gives two eigenvalues of M(eps); the 2n computed ones are
+    # within 8.9e-15 of them, matched one to one
+    for n in range(3, 13):
+        vals = sc.spectrum(sc.build_system(directed_cycle(n), 0.3)).eigenvalues
+        dist = np.abs(vals[:, None] - balanced_roots(cycle_mu(n), 0.3)[None, :])
+        nearest = dist.argmin(axis=1)
+        assert sorted(nearest.tolist()) == list(range(2 * n)), n
+        assert dist[np.arange(2 * n), nearest].max() <= 1e-13, n
+
+
+def test_find_eps_bar_on_directed_cycles_is_the_closed_form():
+    # eps_bar is sqrt(2) - 1 on the 8-cycle and inf on the 3- and 4-cycles, where
+    # Re mu >= |Im mu| for every mu; find_eps_bar gives the last grid point below it
+    grid = [i / 100 for i in range(1, 301)]
+    assert balanced_eps_bar(cycle_mu(8)) == pytest.approx(math.sqrt(2) - 1, rel=1e-14)
+    found = {n: sc.find_eps_bar(directed_cycle(n), grid) for n in range(3, 13)}
+    for n, eps in found.items():
+        assert eps == max(e for e in grid if e < balanced_eps_bar(cycle_mu(n))), n
+    assert (found[3], found[4], found[8]) == (3.0, 3.0, 0.41)
+
+
+def test_tau_critical_on_undirected_cycles_is_pi_over_twice_the_spectral_radius():
+    # L is symmetric, so every mu is real, every eigenvalue of M(eps) is real and
+    # negative, and tau_c = (pi - pi / 2) / |lambda| is least at the largest |lambda|
+    for n in range(3, 13):
+        spec = sc.spectrum(sc.build_system(undirected_cycle(n), 0.3))
+        assert np.max(np.abs(spec.eigenvalues.imag)) <= 1e-13, n
+        radius = np.abs(balanced_roots(2.0 - 2.0 * np.cos(2 * np.pi * np.arange(n) / n),
+                                       0.3)).max()
+        assert sc.tau_critical(spec).tau_c == pytest.approx(math.pi / (2 * radius),
+                                                            rel=1e-13), n
 
 
 # ----------------------------------------------------------------- Spectrum
