@@ -731,6 +731,44 @@ def test_sweep_tau_c(tmp_path, capsys):
     assert text.splitlines()[0] == "eps,tau_c,limiting_index,omega"
 
 
+def test_sweep_tau_c_rows_failures_and_argmax(tmp_path, capsys):
+    # the directed 8-cycle has eps_bar = sqrt(2) - 1 inside the grid: eps = 0 is
+    # refused for its two null eigenvalues, 0.5..0.8 for a non-null Re >= 0
+    text = "0:0.1:0.8"
+    g = sc.build_graph(8, [(i, i % 8 + 1) for i in range(1, 9)])
+    path = tmp_path / "cycle8.edges"
+    sc.save_edge_list(g, str(path))
+    out = tmp_path / "sweep"
+    assert run(["sweep", "--mode", "tau_c", "--graph", str(path), "--eps-range", text,
+                "--out", str(out)]) == 0
+    summary = parse_summary(capsys.readouterr().out)
+    assert summary["warnings"] == "5"
+    lines = (out / "sweep_tau_c.csv").read_text().splitlines()
+    assert lines[0] == "eps,tau_c,limiting_index,omega"
+    rows = [line.split(",") for line in lines[1:-1]]
+    assert [row[0] for row in rows] == ["0", "0.1", "0.2", "0.3", "0.4", "0.5", "0.6",
+                                        "0.7", "0.8"]
+    grid = cli.parse_range(text)
+    finite = []
+    for a, row in enumerate(rows):
+        if a == 0 or a >= 5:
+            assert row[1:] == ["nan", "", ""]
+            continue
+        # the margin at the grid point the row was computed at, not its printed eps
+        margin = sc.tau_critical(sc.spectrum(sc.build_system(g, grid[a])))
+        assert row[1:] == ["%.17g" % margin.tau_c, str(margin.limiting_eigenvalue_index),
+                           "%.17g" % margin.crossing_frequency]
+        finite.append((margin.tau_c, row[0]))
+    best_tau_c, best_eps = max(finite)
+    assert lines[-1] == "# argmax eps=%s tau_c=%.17g" % (best_eps, best_tau_c)
+    assert summary["argmax_eps"] == best_eps
+    assert summary["max_tau_c"] == "%.12g" % best_tau_c
+    assert (out / "failures.csv").read_text().splitlines() == [
+        "eps,tau,reason", '0,,"expected exactly one null eigenvalue, found 2"'] + [
+        "%s,,a non-null eigenvalue has non-negative real part" % eps
+        for eps in ("0.5", "0.6", "0.7", "0.8")]
+
+
 def test_sweep_two_d(tmp_path, capsys):
     out = tmp_path / "sweep"
     code = run(["sweep", "--mode", "two_d", "--graph", sc.demo_graph_path(),
