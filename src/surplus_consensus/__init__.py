@@ -12,7 +12,6 @@ from .delay import (
     rightmost_root,
     rightmost_root_oracle,
     stability_map,
-    sweep_tau_c,
     tau_critical,
     tau_tilde_bound,
 )

@@ -234,7 +234,7 @@ def cmd_sweep(args):
         if names:
             raise InvalidParameter("mode=%s %s %s" % (args.mode, problem, ", ".join(
                 "--" + name.replace("_", "-") for name in names)))
-    # eps: the eps range x {0}; tau: {--eps} x the tau range
+    # eps and tau_c: the eps range x {0}; tau: {--eps} x the tau range
     eps_grid = [args.eps] if args.mode == "tau" else parse_range(args.eps_range)
     tau_grid = parse_range(args.tau_range) if "tau_range" in required else [0.0]
     if len(eps_grid) * len(tau_grid) > MAX_GRID_POINTS:
@@ -246,13 +246,14 @@ def cmd_sweep(args):
     _make_out_dir(args.out)
     path = os.path.join(args.out, csv_name)
     summary = [("command", "sweep"), ("mode", args.mode)]
+    smap = delay_mod.stability_map(g, eps_grid, tau_grid)
 
+    # tau_c reads each eps row's margin; a refused margin is its failure
     if args.mode == "tau_c":
-        records = delay_mod.sweep_tau_c(g, eps_grid)
         rows, finite, failures = [], [], []
-        for eps, margin, err in records:
+        for eps, (margin, reason) in zip(smap.eps_grid, smap.margins):
             if margin is None:
-                failures.append((_fmt(eps), "", err))
+                failures.append((_fmt(eps), "", reason))
                 rows.append([_fmt(eps), "nan", "", ""])
             else:
                 finite.append((margin.tau_c, eps))
@@ -264,7 +265,6 @@ def cmd_sweep(args):
                    "argmax eps=%s tau_c=%.17g" % (_fmt(best[1]), best[0]))
         summary += [("argmax_eps", _fmt(best[1])), ("max_tau_c", _fmt(best[0]))]
     else:
-        smap = delay_mod.stability_map(g, eps_grid, tau_grid)
         failures = [(_fmt(smap.eps_grid[a]), _fmt(smap.tau_grid[b]), reason)
                     for a, b, reason in smap.failures]
         rows = []

@@ -49,6 +49,7 @@ class StabilityMap:
     roots: np.ndarray
     source_index: np.ndarray
     residual: np.ndarray
+    margins: list = field(default_factory=list)
     failures: list = field(default_factory=list)
 
     @property
@@ -260,22 +261,6 @@ def rightmost_root_oracle(spec, tau):
     return complex(roots[np.lexsort((roots.imag, roots.real))[-1]])
 
 
-def sweep_tau_c(g, eps_grid):
-    """tau_c over an epsilon grid. Returns (eps, DelayMargin | None, error | None)
-    records; inadmissible grid points are reported, not fatal, and a negative
-    epsilon raises InvalidParameter before any work."""
-    eps_grid = [float(eps) for eps in eps_grid]
-    require_non_negative("epsilon", eps_grid)
-    records = []
-    for eps in eps_grid:
-        try:
-            spec = system_mod.spectrum(system_mod.build_system(g, eps))
-            records.append((eps, tau_critical(spec), None))
-        except (NumericalFailure, PreconditionViolated) as exc:
-            records.append((eps, None, str(exc)))
-    return records
-
-
 def stability_map(g, eps_grid, tau_grid):
     """Rightmost non-null root per (eps, tau) cell, the one scan of every sweep.
 
@@ -283,8 +268,10 @@ def stability_map(g, eps_grid, tau_grid):
     source eigenvalue index and residual; tau = 0 cells take the rightmost
     non-null matrix eigenvalue, with source index -1 and residual NaN. A cell
     whose spectrum or root fails holds root NaN, source index -1 and residual
-    NaN, and is listed in .failures as (eps index, tau index, reason). A
-    negative eps or tau raises InvalidParameter before any work.
+    NaN, and is listed in .failures as (eps index, tau index, reason). Each eps
+    row's tau_critical goes to .margins as (DelayMargin, None), or (None, reason)
+    if the row's spectrum or tau_critical refuses it; a refused margin is not a
+    failed cell. A negative eps or tau raises InvalidParameter before any work.
     .lambda_r_real and .max_root_residual are derived from these arrays.
     """
     eps_grid = np.asarray(list(eps_grid), dtype=float)
@@ -297,13 +284,18 @@ def stability_map(g, eps_grid, tau_grid):
     roots = np.full(shape, np.nan, dtype=complex)
     source_index = np.full(shape, -1)
     residual = np.full(shape, np.nan)
-    failures = []
+    margins, failures = [], []
     for a, eps in enumerate(eps_grid):
         try:
             spec = system_mod.spectrum(system_mod.build_system(g, eps))
         except (NumericalFailure, PreconditionViolated) as exc:
+            margins.append((None, str(exc)))
             failures.extend((a, b, str(exc)) for b in range(tau_grid.size))
             continue
+        try:
+            margins.append((tau_critical(spec), None))
+        except PreconditionViolated as exc:
+            margins.append((None, str(exc)))
         for b, tau in enumerate(tau_grid):
             try:
                 if tau == 0.0:
@@ -317,5 +309,5 @@ def stability_map(g, eps_grid, tau_grid):
                 failures.append((a, b, str(exc)))
     return StabilityMap(eps_grid=eps_grid, tau_grid=tau_grid, roots=roots,
                         source_index=source_index, residual=residual,
-                        failures=failures)
+                        margins=margins, failures=failures)
 

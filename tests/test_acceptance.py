@@ -100,7 +100,8 @@ def test_criterion_6_bound_conservative(demo6, random_graphs):
     ok = True
     for g in [demo6] + random_graphs:
         tilde = sc.tau_tilde_bound(g)
-        values = [m.tau_c for _, m, _ in sc.sweep_tau_c(g, grid) if m is not None]
+        values = [m.tau_c for m, _ in sc.stability_map(g, grid, [0.0]).margins
+                  if m is not None]
         if not values or tilde > min(values):
             ok = False
         else:

@@ -521,31 +521,55 @@ def test_oracle_small_delay_limit(demo6):
 
 # ------------------------------------------------------- sweeps and the map
 
-def test_sweep_tau_c_empty(demo6):
-    assert sc.sweep_tau_c(demo6, []) == []
-
-
 def test_sweep_tau_c_demo(demo6):
     grid = np.round(np.arange(0.2, 1.8001, 0.2), 10)
-    records = sc.sweep_tau_c(demo6, grid)
-    assert len(records) == grid.size
-    for _, margin, err in records:
-        assert err is None
+    margins = sc.stability_map(demo6, grid, [0.0]).margins
+    assert len(margins) == grid.size
+    for margin, reason in margins:
+        assert reason is None
         assert 0 < margin.tau_c < 1
 
 
 def test_sweep_tau_c_two_node_limit(two_node):
-    records = sc.sweep_tau_c(two_node, [1e-6])
+    (margin, _), = sc.stability_map(two_node, [1e-6], [0.0]).margins
     # the limiting eigenvalue -2 is defective at eps=0, so convergence to the
     # pi/4 limit is only O(sqrt(eps))
-    assert records[0][1].tau_c == pytest.approx(math.pi / 4, rel=2e-3)
+    assert margin.tau_c == pytest.approx(math.pi / 4, rel=2e-3)
 
 
 def test_sweep_tau_c_reports_bad_points():
     ring = sc.build_graph(6, [(i, i % 6 + 1) for i in range(1, 7)])
-    records = sc.sweep_tau_c(ring, [0.2, 2.0])
-    assert records[0][1] is not None
-    assert records[1][1] is None and records[1][2]
+    smap = sc.stability_map(ring, [0.2, 2.0], [0.0])
+    assert smap.margins[0][0] is not None
+    assert smap.margins[1][0] is None and smap.margins[1][1]
+    # a refused margin is not a failed cell
+    assert not smap.failures
+
+
+def test_stability_map_margins_match_tau_critical(demo6):
+    eps_grid = [0.0, 0.8, 1.1]
+    smap = sc.stability_map(demo6, eps_grid, [0.0, 0.1])
+    # eps = 0 has two null eigenvalues: its margin is refused, its cells are not
+    assert smap.margins[0] == (None, "expected exactly one null eigenvalue, found 2")
+    assert not smap.failures
+    for eps, (margin, reason) in zip(eps_grid[1:], smap.margins[1:]):
+        assert reason is None
+        assert margin == sc.tau_critical(sc.spectrum(sc.build_system(demo6, eps)))
+
+
+def test_stability_map_margins_keep_a_failed_spectrum(demo6, monkeypatch):
+    spectrum = sc.system.spectrum
+
+    def failing(m):
+        if m[0, demo6.n] == 0.8:  # the eps * I block
+            raise sc.NumericalFailure("eigenvalue computation failed: test")
+        return spectrum(m)
+
+    monkeypatch.setattr(sc.system, "spectrum", failing)
+    smap = sc.stability_map(demo6, [1.1, 0.8], [0.0, 0.1])
+    assert smap.margins[0][0] is not None and smap.margins[0][1] is None
+    assert smap.margins[1] == (None, "eigenvalue computation failed: test")
+    assert smap.failures == [(1, b, "eigenvalue computation failed: test") for b in (0, 1)]
 
 
 def test_stability_map_consistency(demo6):
@@ -637,7 +661,8 @@ def test_stability_map_failed_cells_hold_nan():
      "epsilon must be non-negative, got -0.5"),
     (lambda g: sc.stability_map(g, [0.5], np.array([0.0, -0.1])),
      "tau must be non-negative, got -0.1"),
-    (lambda g: sc.sweep_tau_c(g, np.array([0.5, -0.5])),
+    # the call sweep --mode tau_c makes
+    (lambda g: sc.stability_map(g, np.array([0.5, -0.5]), [0.0]),
      "epsilon must be non-negative, got -0.5"),
     (lambda g: sc.build_system(g, np.float64(-0.5)),
      "epsilon must be non-negative, got -0.5"),
