@@ -49,6 +49,10 @@ EXIT_CODES = (
 # minutes even at n = 6, so more is a typo, and a tiny step would ask for gigabytes
 MAX_GRID_POINTS = 1_000_000
 
+# the most digits of a range field's mantissa or power of ten, int()'s default
+# limit on the digits of a string: 1e-5000 would otherwise build a 5,000-digit integer
+MAX_FIELD_DIGITS = 4300
+
 ROOT_COLUMNS = ["eps", "tau", "re_lambda_r", "im_lambda_r", "source_index", "residual"]
 
 # each sweep mode: the CSV it writes into --out, and the arguments it needs
@@ -62,7 +66,11 @@ SWEEP_MODES = {
 
 
 def parse_range(text):
-    """Parse 'a:step:b' into an inclusive ascending grid."""
+    """Parse 'a:step:b' into an inclusive ascending grid.
+
+    Point i is the double nearest the decimal a + i step, taken exactly from the
+    text, so a grid value is the one its decimal names: 0.1:0.1:0.3 ends at 0.3,
+    not at 0.1 + 2 * 0.1 = 0.30000000000000004."""
     parts = text.split(":")
     if len(parts) != 3:
         raise InvalidParameter("range %r is not of the form a:step:b" % text)
@@ -78,8 +86,36 @@ def parse_range(text):
     if (b - a) / step + 1 > MAX_GRID_POINTS:
         raise InvalidParameter("range %r has more than %d points" % (text, MAX_GRID_POINTS))
     count = int(round((b - a) / step))
-    grid = a + step * np.arange(count + 1)
+    try:
+        (a_m, a_e), (step_m, step_e) = _decimal(parts[0]), _decimal(parts[1])
+    except ValueError:
+        raise InvalidParameter("range %r has a field of more than %d digits written out"
+                               % (text, MAX_FIELD_DIGITS))
+    # a + i step = n_i / 10^k for integers n_i
+    k = -min(a_e, step_e, 0)
+    a_n, step_n, scale = a_m * 10 ** (a_e + k), step_m * 10 ** (step_e + k), 10 ** k
+    grid = np.array([_ratio(n, scale) for n in range(a_n, a_n + step_n * count + 1, step_n)])
     return grid[grid <= b + step * 1e-9]
+
+
+def _decimal(text):
+    """The exact value m 10^e of a finite float() literal, as integers (m, e);
+    ValueError if m or 10^|e| has more than MAX_FIELD_DIGITS digits."""
+    mantissa, _, exp = text.strip().replace("_", "").lower().partition("e")
+    whole, _, frac = mantissa.partition(".")
+    e = int(exp or 0) - len(frac)
+    if abs(e) > MAX_FIELD_DIGITS:
+        raise ValueError("exponent %d" % e)
+    return int(whole + frac), e
+
+
+def _ratio(num, den):
+    """The double nearest num / den, for integers num and den > 0 (CPython's
+    int / int is correctly rounded); inf past the largest double."""
+    try:
+        return num / den
+    except OverflowError:
+        return float("inf")
 
 
 def parse_seed(text):
@@ -119,6 +155,12 @@ def _make_out_dir(path):
 
 def _fmt(x):
     return "%.12g" % x
+
+
+def _fmt_grid(x):
+    """A sweep's eps or tau: _fmt's digits if they parse back to x, else repr's."""
+    text = _fmt(x)
+    return text if float(text) == x else repr(float(x))
 
 
 def cmd_analyze(args):
@@ -253,19 +295,19 @@ def cmd_sweep(args):
         rows, finite, failures = [], [], []
         for eps, (margin, reason) in zip(smap.eps_grid, smap.margins):
             if margin is None:
-                failures.append((_fmt(eps), "", reason))
-                rows.append([_fmt(eps), "nan", "", ""])
+                failures.append((_fmt_grid(eps), "", reason))
+                rows.append([_fmt_grid(eps), "nan", "", ""])
             else:
                 finite.append((margin.tau_c, eps))
-                rows.append([_fmt(eps), "%.17g" % margin.tau_c,
+                rows.append([_fmt_grid(eps), "%.17g" % margin.tau_c,
                              str(margin.limiting_eigenvalue_index),
                              "%.17g" % margin.crossing_frequency])
         best = max(finite) if finite else (float("nan"), float("nan"))
         _write_csv(path, ["eps", "tau_c", "limiting_index", "omega"], rows,
-                   "argmax eps=%s tau_c=%.17g" % (_fmt(best[1]), best[0]))
-        summary += [("argmax_eps", _fmt(best[1])), ("max_tau_c", _fmt(best[0]))]
+                   "argmax eps=%s tau_c=%.17g" % (_fmt_grid(best[1]), best[0]))
+        summary += [("argmax_eps", _fmt_grid(best[1])), ("max_tau_c", _fmt(best[0]))]
     else:
-        failures = [(_fmt(smap.eps_grid[a]), _fmt(smap.tau_grid[b]), reason)
+        failures = [(_fmt_grid(smap.eps_grid[a]), _fmt_grid(smap.tau_grid[b]), reason)
                     for a, b, reason in smap.failures]
         rows = []
         for (a, b), root in np.ndenumerate(smap.roots):
@@ -273,15 +315,15 @@ def cmd_sweep(args):
             fields = ["nan", "", "", ""] if np.isnan(root.real) else [
                 "%.17g" % root.real, "%.17g" % root.imag,
                 "" if src < 0 else str(src), "" if np.isnan(res) else "%.3g" % res]
-            rows.append([_fmt(smap.eps_grid[a]), _fmt(smap.tau_grid[b])] + fields)
+            rows.append([_fmt_grid(smap.eps_grid[a]), _fmt_grid(smap.tau_grid[b])] + fields)
         # the grids ascend, so ties go to the first cell in row order
         best_re, best_eps, best_tau = min(
             ((re, smap.eps_grid[a], smap.tau_grid[b])
              for (a, b), re in np.ndenumerate(smap.lambda_r_real) if not np.isnan(re)),
             default=(float("nan"),) * 3)
         _write_csv(path, ROOT_COLUMNS, rows, "argmin eps=%s tau=%s re_lambda_r=%.17g"
-                   % (_fmt(best_eps), _fmt(best_tau), best_re))
-        summary += [("argmin_eps", _fmt(best_eps)), ("argmin_tau", _fmt(best_tau)),
+                   % (_fmt_grid(best_eps), _fmt_grid(best_tau), best_re))
+        summary += [("argmin_eps", _fmt_grid(best_eps)), ("argmin_tau", _fmt_grid(best_tau)),
                     ("min_re_lambda_r", _fmt(best_re)),
                     ("max_root_residual", "%.3g" % smap.max_root_residual)]
 

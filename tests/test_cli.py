@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,18 @@ def test_parse_range():
     for text in ("0:1e-300:1", "0:5e-324:1", "0:1:%d" % cli.MAX_GRID_POINTS):
         with pytest.raises(sc.InvalidParameter, match="more than %d points"
                            % cli.MAX_GRID_POINTS):
+            cli.parse_range(text)
+
+
+def test_parse_range_takes_each_point_from_the_decimals():
+    assert cli.parse_range("0.1:0.1:0.3").tolist() == [0.1, 0.2, 0.3]
+    assert cli.parse_range("0.2:0.2:2.0")[[2, 6]].tolist() == [0.6, 1.4]
+    assert cli.parse_range(" 1_0:25E-2:1.05e1 ").tolist() == [10.0, 10.25, 10.5]
+    # the third point, 2e308, is past the largest double and past b
+    assert cli.parse_range("0:1e308:1.7e308").tolist() == [0.0, 1e308]
+    for text in ("1e-5000:1:2", "0:1.%s:2" % ("0" * 4301), "0.%s:1:2" % ("1" * 4301)):
+        with pytest.raises(sc.InvalidParameter, match="more than %d digits"
+                           % cli.MAX_FIELD_DIGITS):
             cli.parse_range(text)
 
 
@@ -767,6 +780,75 @@ def test_sweep_tau_c_rows_failures_and_argmax(tmp_path, capsys):
         "eps,tau,reason", '0,,"expected exactly one null eigenvalue, found 2"'] + [
         "%s,,a non-null eigenvalue has non-negative real part" % eps
         for eps in ("0.5", "0.6", "0.7", "0.8")]
+
+
+def _decimal_text(m, places):
+    """m 10^-places written as a plain decimal."""
+    digits = str(m).rjust(places + 1, "0")
+    return digits if places == 0 else digits[:-places] + "." + digits[-places:]
+
+
+@st.composite
+def _grid_ranges(draw):
+    """An 'a:step:b' text of up to 17 significant digits a field, and its grid:
+    the doubles nearest the decimals a + i step, from exact fractions."""
+    places, digits = draw(st.integers(0, 16)), draw(st.integers(1, 17))
+    # mantissas of exactly `digits` digits, so that past 12 the values need repr
+    mantissas = st.integers(10 ** (digits - 1), 10 ** digits - 1)
+    a = draw(st.one_of(st.just(0), mantissas))
+    step, count = draw(mantissas), draw(st.integers(0, 3))
+    text = ":".join(_decimal_text(m, places) for m in (a, step, a + count * step))
+    return text, [float(Fraction(a + i * step, 10 ** places)) for i in range(count + 1)]
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(_grid_ranges(), _grid_ranges())
+def test_every_printed_grid_value_is_the_value_its_row_was_computed_at(eps_range,
+                                                                       tau_range):
+    # a + 2 step of 0.0:0.1:0.3 is 0.3, not 0.30000000000000004 printed as 0.3
+    (eps_text, eps_grid), (tau_text, tau_grid) = eps_range, tau_range
+    eps_only = eps_text.split(":")[0]
+    calls = []
+
+    def spy(g, eps, tau):
+        calls.append((list(eps), list(tau)))
+        return stability_map(g, eps, tau)
+
+    stability_map = cli.delay_mod.stability_map
+    for mode, flags, expected in (
+            ("eps", ["--eps-range", eps_text], (eps_grid, [0.0])),
+            ("tau_c", ["--eps-range", eps_text], (eps_grid, [0.0])),
+            ("tau", ["--eps", eps_only, "--tau-range", tau_text],
+             ([float(eps_only)], tau_grid)),
+            ("two_d", ["--eps-range", eps_text, "--tau-range", tau_text],
+             (eps_grid, tau_grid))):
+        calls.clear()
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli.delay_mod, "stability_map", spy)
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                assert run(["sweep", "--mode", mode, "--graph", sc.demo_graph_path(),
+                            "--out", tmp] + flags) == 0
+            summary = parse_summary(stdout.getvalue())
+            lines = Path(summary["csv"]).read_text().splitlines()
+            failures = Path(tmp, "failures.csv")
+            failed = failures.read_text().splitlines()[1:] if failures.exists() else []
+        # each row computed at the grid point its decimal names, and printed so
+        assert calls == [expected]
+        computed_eps, computed_tau = expected
+        for k, row in enumerate(line.split(",") for line in lines[1:-1]):
+            a, b = (k, 0) if mode == "tau_c" else divmod(k, len(computed_tau))
+            assert float(row[0]) == computed_eps[a]
+            assert mode == "tau_c" or float(row[1]) == computed_tau[b]
+        for row in failed:
+            eps, tau = row.split(",")[:2]
+            assert float(eps) in computed_eps and (tau == "" or float(tau) in computed_tau)
+        printed = dict(item.split("=") for item in lines[-1].split()[2:])
+        for key in ("eps", "tau"):
+            for value in (printed.get(key), summary.get("argmin_" + key),
+                          summary.get("argmax_" + key)):
+                grid = computed_eps if key == "eps" else computed_tau
+                assert value is None or value == "nan" or float(value) in grid
 
 
 def test_sweep_two_d(tmp_path, capsys):
