@@ -557,21 +557,6 @@ def test_stability_map_margins_match_tau_critical(demo6):
         assert margin == sc.tau_critical(sc.spectrum(sc.build_system(demo6, eps)))
 
 
-def test_stability_map_margins_keep_a_failed_spectrum(demo6, monkeypatch):
-    spectrum = sc.system.spectrum
-
-    def failing(m):
-        if m[0, demo6.n] == 0.8:  # the eps * I block
-            raise sc.NumericalFailure("eigenvalue computation failed: test")
-        return spectrum(m)
-
-    monkeypatch.setattr(sc.system, "spectrum", failing)
-    smap = sc.stability_map(demo6, [1.1, 0.8], [0.0, 0.1])
-    assert smap.margins[0][0] is not None and smap.margins[0][1] is None
-    assert smap.margins[1] == (None, "eigenvalue computation failed: test")
-    assert smap.failures == [(1, b, "eigenvalue computation failed: test") for b in (0, 1)]
-
-
 def test_stability_map_consistency(demo6):
     eps_grid = [0.8, 1.1]
     tau_grid = [0.0, 0.1, 0.3]
@@ -641,9 +626,11 @@ def test_stability_map_lists_every_cell_of_a_row_whose_spectrum_fails(monkeypatc
     monkeypatch.setattr(sc.delay.system_mod, "spectrum", failing_at_1_1)
     smap = sc.stability_map(demo6, eps_grid, tau_grid)
     assert smap.failures == [(1, b, reason) for b in range(3)]
+    assert smap.margins[1] == (None, reason)
     assert np.isnan(smap.roots[1]).all() and np.isnan(smap.residual[1]).all()
     assert (smap.source_index[1] == -1).all()
     for a in (0, 2):
+        assert smap.margins[a] == expected.margins[a]
         assert np.array_equal(smap.roots[a], expected.roots[a])
         assert np.array_equal(smap.source_index[a], expected.source_index[a])
         assert np.array_equal(smap.residual[a], expected.residual[a], equal_nan=True)
