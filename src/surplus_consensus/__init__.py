@@ -18,14 +18,11 @@ from .delay import (
 from .errors import (
     ConsensusError,
     GraphFormatError,
-    InvalidConfig,
-    InvalidEdge,
     InvalidParameter,
     NoAdmissibleEpsilon,
     NotStronglyConnected,
     NumericalFailure,
     PreconditionViolated,
-    SelfLoopRejected,
 )
 from .graph import (
     DegreeProfile,

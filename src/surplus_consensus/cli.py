@@ -21,7 +21,6 @@ from . import system as system_mod
 from .errors import (
     ConsensusError,
     GraphFormatError,
-    InvalidConfig,
     InvalidParameter,
     NotStronglyConnected,
     require_non_negative,
@@ -40,7 +39,7 @@ EXIT_INTERNAL_ERROR = 6
 EXIT_CODES = (
     (GraphFormatError, EXIT_BAD_GRAPH),
     (NotStronglyConnected, EXIT_NOT_STRONGLY_CONNECTED),
-    ((InvalidConfig, InvalidParameter), EXIT_BAD_CONFIG),
+    (InvalidParameter, EXIT_BAD_CONFIG),
     (ConsensusError, EXIT_NUMERICAL_FAILURE),
     (Exception, EXIT_INTERNAL_ERROR),
 )
@@ -319,7 +318,7 @@ def cmd_sweep(args):
         # the grids ascend, so ties go to the first cell in row order
         best_re, best_eps, best_tau = min(
             ((re, smap.eps_grid[a], smap.tau_grid[b])
-             for (a, b), re in np.ndenumerate(smap.lambda_r_real) if not np.isnan(re)),
+             for (a, b), re in np.ndenumerate(smap.roots.real) if not np.isnan(re)),
             default=(float("nan"),) * 3)
         _write_csv(path, ROOT_COLUMNS, rows, "argmin eps=%s tau=%s re_lambda_r=%.17g"
                    % (_fmt_grid(best_eps), _fmt_grid(best_tau), best_re))

@@ -9,7 +9,7 @@ each scalar equation's generator cross-checks them.
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,12 +49,8 @@ class StabilityMap:
     roots: np.ndarray
     source_index: np.ndarray
     residual: np.ndarray
-    margins: list = field(default_factory=list)
-    failures: list = field(default_factory=list)
-
-    @property
-    def lambda_r_real(self):
-        return self.roots.real
+    margins: list
+    failures: list
 
     @property
     def max_root_residual(self):
@@ -272,7 +268,7 @@ def stability_map(g, eps_grid, tau_grid):
     row's tau_critical goes to .margins as (DelayMargin, None), or (None, reason)
     if the row's spectrum or tau_critical refuses it; a refused margin is not a
     failed cell. A negative eps or tau raises InvalidParameter before any work.
-    .lambda_r_real and .max_root_residual are derived from these arrays.
+    .max_root_residual is derived from these arrays.
     """
     eps_grid = np.asarray(list(eps_grid), dtype=float)
     tau_grid = np.asarray(list(tau_grid), dtype=float)

@@ -11,16 +11,10 @@ class GraphFormatError(ConsensusError):
     """Malformed graph file (bad header, field, or index)."""
 
 
-class InvalidEdge(ConsensusError):
-    """Edge endpoint out of range."""
-
-
-class SelfLoopRejected(ConsensusError):
-    """Self-loops are excluded by the graph model."""
-
-
 class InvalidParameter(ConsensusError):
-    """Parameter outside its admissible domain (e.g. negative epsilon)."""
+    """A value outside its admissible domain: a negative epsilon, a delay that is
+    not positive, a simulation setting that breaks SimConfig's invariants, a
+    self-loop, an edge endpoint outside 1..n or a node count below 1."""
 
 
 class PreconditionViolated(ConsensusError):
@@ -37,10 +31,6 @@ class NumericalFailure(ConsensusError):
 
 class NoAdmissibleEpsilon(ConsensusError):
     """No grid point yields a stable augmented system."""
-
-
-class InvalidConfig(ConsensusError):
-    """Simulation configuration violates its invariants."""
 
 
 def require_non_negative(name, values):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GraphFormatError, InvalidEdge, NotStronglyConnected, SelfLoopRejected
+from .errors import GraphFormatError, InvalidParameter, NotStronglyConnected
 
 
 # the most nodes of a graph that dense code may take: one build_system and one eigvals
@@ -28,14 +28,12 @@ class DirectedGraph:
 
     def __post_init__(self):
         if self.n < 1:
-            raise InvalidEdge("node count must be positive, got %r" % (self.n,))
+            raise InvalidParameter("node count must be positive, got %r" % (self.n,))
         for (i, j) in self.edges:
             if i == j:
-                raise SelfLoopRejected("self-loop (%d, %d) rejected" % (i, j))
+                raise InvalidParameter("self-loop (%d, %d) rejected" % (i, j))
             if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise InvalidEdge(
-                    "edge (%r, %r) out of range 1..%d" % (i, j, self.n)
-                )
+                raise InvalidParameter("edge (%r, %r) out of range 1..%d" % (i, j, self.n))
 
 
 @dataclass(frozen=True)
@@ -166,7 +164,7 @@ def load_edge_list(path):
         return build_graph(n, edges)
     # every refused file is a GraphFormatError naming it: also bytes that are not
     # UTF-8 (a ValueError) and edges the graph model refuses
-    except (ValueError, RecursionError, InvalidEdge, SelfLoopRejected) as exc:
+    except (ValueError, RecursionError, InvalidParameter) as exc:
         raise GraphFormatError("%s: %s" % (path, exc)) from exc
 
 
@@ -200,7 +198,7 @@ def load_adjacency_json(path):
         raise GraphFormatError("%s: invalid JSON: %s" % (path, exc)) from exc
     # as load_edge_list's, and a JSON integer past Python's digit limit (a ValueError)
     # or JSON nested past the recursion limit
-    except (ValueError, RecursionError, InvalidEdge, SelfLoopRejected) as exc:
+    except (ValueError, RecursionError, InvalidParameter) as exc:
         raise GraphFormatError("%s: %s" % (path, exc)) from exc
 
 

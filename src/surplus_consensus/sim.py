@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _integrator
-from .errors import InvalidConfig
+from .errors import InvalidParameter
 
 CONSENSUS_TOLERANCE = 1e-4
 DIVERGENCE_THRESHOLD = 1e6
@@ -38,41 +38,40 @@ class SimConfig:
         for name in ("tau", "dt", "t_final"):
             value = getattr(self, name)
             if value is not None and not np.isfinite(value):
-                raise InvalidConfig("%s must be finite, got %r" % (name, float(value)))
+                raise InvalidParameter("%s must be finite, got %r" % (name, float(value)))
         x0 = np.asarray(self.x0, dtype=float)
         if x0.ndim != 1 or x0.size == 0:
-            raise InvalidConfig("x0 must be a non-empty 1-D array, got shape %r" % (x0.shape,))
+            raise InvalidParameter("x0 must be a non-empty 1-D array, got shape %r" % (x0.shape,))
         z0 = np.zeros_like(x0) if self.z0 is None else np.asarray(self.z0, dtype=float)
         if z0.shape != x0.shape:
-            raise InvalidConfig("x0 and z0 must have the same length")
+            raise InvalidParameter("x0 and z0 must have the same length")
         for name, values in (("x0", x0), ("z0", z0)):
             bad = values[~np.isfinite(values)]
             if bad.size:
-                raise InvalidConfig("%s must be finite, got %r" % (name, float(bad[0])))
+                raise InvalidParameter("%s must be finite, got %r" % (name, float(bad[0])))
         # tau = 0 is y' = My, which the spectrum of M answers exactly
         if self.tau <= 0:
-            raise InvalidConfig("tau must be positive, got %r" % (self.tau,))
+            raise InvalidParameter("tau must be positive, got %r" % (self.tau,))
         dt = self.tau / 50.0 if self.dt is None else self.dt
         if dt <= 0:
-            raise InvalidConfig("dt must be positive, got %r" % (dt,))
+            raise InvalidParameter("dt must be positive, got %r" % (dt,))
         if self.t_final <= 0 or self.t_final < self.tau:
-            raise InvalidConfig("t_final must be positive and at least tau")
+            raise InvalidParameter("t_final must be positive and at least tau")
         # (delay_steps + nsteps + 1) x 2n values, counted in floats so that a
         # tiny dt gives a huge count or inf, not an exception
         if ((self.tau + self.t_final) / dt + 1) * 2 * x0.size > MAX_STATE_VALUES:
-            raise InvalidConfig("the run would compute more than %d state values; "
-                                "raise dt or shorten t_final" % MAX_STATE_VALUES)
+            raise InvalidParameter("the run would compute more than %d state values; "
+                                   "raise dt or shorten t_final" % MAX_STATE_VALUES)
         nsteps = int(round(self.t_final / dt))
         if nsteps < 1:
-            raise InvalidConfig("t_final must be at least one step dt")
+            raise InvalidParameter("t_final must be at least one step dt")
         ratio = self.tau / dt
         delay_steps = int(round(ratio))
         if abs(ratio - delay_steps) > 1e-9 * max(1.0, ratio):
-            raise InvalidConfig(
-                "tau/dt = %r must be an integer for history alignment" % (ratio,)
-            )
+            raise InvalidParameter("tau/dt = %r must be an integer for history alignment"
+                                   % (ratio,))
         if delay_steps < 10:
-            raise InvalidConfig("tau/dt must be at least 10, got %d" % delay_steps)
+            raise InvalidParameter("tau/dt must be at least 10, got %d" % delay_steps)
         return x0, z0, float(dt), delay_steps, nsteps
 
 
@@ -109,8 +108,8 @@ def simulate(m, cfg, csv_path=None):
     x0, z0, dt, delay_steps, nsteps = cfg.resolved()
     n = x0.size
     if m.shape != (2 * n, 2 * n):
-        raise InvalidConfig("system shape %r does not match x0 length %d, want %r"
-                            % (m.shape, n, (2 * n, 2 * n)))
+        raise InvalidParameter("system shape %r does not match x0 length %d, want %r"
+                               % (m.shape, n, (2 * n, 2 * n)))
     target = float((x0.sum() + z0.sum()) / n)  # the invariant (1'x0 + 1'z0) / n
     y0 = np.ascontiguousarray(np.concatenate([x0, z0]))
     total0 = y0.sum()
@@ -162,7 +161,7 @@ def seeded_x0(seed, n):
     with the same genrand_res53, so only the seeding is rebuilt here, and
     numpy.random, whose import loads hashlib and OpenSSL, stays unloaded."""
     if not 0 <= seed <= MAX_SEED:
-        raise InvalidConfig("seed must be in [0, %d], got %r" % (MAX_SEED, seed))
+        raise InvalidParameter("seed must be in [0, %d], got %r" % (MAX_SEED, seed))
     key = [seed]
     for i in range(1, 624):
         prev = key[-1]

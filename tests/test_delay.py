@@ -561,17 +561,17 @@ def test_stability_map_consistency(demo6):
     eps_grid = [0.8, 1.1]
     tau_grid = [0.0, 0.1, 0.3]
     smap = sc.stability_map(demo6, eps_grid, tau_grid)
-    assert smap.lambda_r_real.shape == (2, 3)
+    assert smap.roots.real.shape == (2, 3)
     assert not smap.failures
-    assert np.all(np.isfinite(smap.lambda_r_real))
+    assert np.all(np.isfinite(smap.roots.real))
     for a, eps in enumerate(eps_grid):
         spec = sc.spectrum(sc.build_system(demo6, eps))
         # tau = 0 column equals the matrix eigenvalue
-        assert smap.lambda_r_real[a, 0] == pytest.approx(max_nonnull_real(spec), abs=1e-12)
+        assert smap.roots.real[a, 0] == pytest.approx(max_nonnull_real(spec), abs=1e-12)
         margin = sc.tau_critical(spec)
         for b, tau in enumerate(tau_grid):
             if tau > margin.tau_c:
-                assert smap.lambda_r_real[a, b] > 0
+                assert smap.roots.real[a, b] > 0
     assert smap.max_root_residual == max(
         sc.rightmost_root(sc.spectrum(sc.build_system(demo6, eps)), tau).residual
         for eps in eps_grid for tau in tau_grid[1:])
@@ -592,8 +592,8 @@ def test_stability_map_lists_cells_without_nonnull_eigenvalue():
     # M(0) of a one-node graph is the zero matrix: no non-null eigenvalue
     smap = sc.stability_map(sc.build_graph(1, []), [0.0, 0.5], [0.0, 0.1])
     assert [cell[:2] for cell in smap.failures] == [(0, 0), (0, 1)]
-    assert np.isnan(smap.lambda_r_real[0]).all()
-    assert np.isfinite(smap.lambda_r_real[1]).all()
+    assert np.isnan(smap.roots.real[0]).all()
+    assert np.isfinite(smap.roots.real[1]).all()
 
 
 def test_stability_map_keeps_each_cells_whole_root(demo6):
@@ -608,7 +608,6 @@ def test_stability_map_keeps_each_cells_whole_root(demo6):
             assert smap.roots[a, b] == root.root
             assert smap.source_index[a, b] == root.source_eigenvalue_index
             assert smap.residual[a, b] == root.residual
-    assert np.array_equal(smap.lambda_r_real, smap.roots.real)
 
 
 def test_stability_map_lists_every_cell_of_a_row_whose_spectrum_fails(monkeypatch, demo6):

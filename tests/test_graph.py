@@ -18,16 +18,16 @@ DEMO_ADJACENCY = np.array([
 
 
 def test_build_rejects_self_loop():
-    with pytest.raises(sc.SelfLoopRejected):
+    with pytest.raises(sc.InvalidParameter):
         sc.build_graph(3, [(1, 1)])
 
 
 def test_build_rejects_out_of_range():
-    with pytest.raises(sc.InvalidEdge):
+    with pytest.raises(sc.InvalidParameter):
         sc.build_graph(2, [(1, 3)])
-    with pytest.raises(sc.InvalidEdge):
+    with pytest.raises(sc.InvalidParameter):
         sc.build_graph(2, [(0, 1)])
-    with pytest.raises(sc.InvalidEdge, match=r"^node count must be positive, got 0$"):
+    with pytest.raises(sc.InvalidParameter, match=r"^node count must be positive, got 0$"):
         sc.build_graph(0, [])
 
 

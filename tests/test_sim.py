@@ -121,19 +121,19 @@ def test_conservation_with_delay(demo6):
 
 def test_misaligned_tau_dt_rejected(demo6):
     cfg = sc.SimConfig(tau=0.18, x0=np.ones(6), dt=0.007)
-    with pytest.raises(sc.InvalidConfig, match="integer"):
+    with pytest.raises(sc.InvalidParameter, match="integer"):
         sc.simulate(sc.build_system(demo6, 1.3), cfg)
 
 
 def test_coarse_delay_resolution_rejected(demo6):
     cfg = sc.SimConfig(tau=0.1, x0=np.ones(6), dt=0.05)
-    with pytest.raises(sc.InvalidConfig, match="at least 10"):
+    with pytest.raises(sc.InvalidParameter, match="at least 10"):
         sc.simulate(sc.build_system(demo6, 1.3), cfg)
 
 
 def test_t_final_shorter_than_tau_rejected(demo6):
     cfg = sc.SimConfig(tau=2.0, x0=np.ones(6), t_final=1.0)
-    with pytest.raises(sc.InvalidConfig):
+    with pytest.raises(sc.InvalidParameter):
         sc.simulate(sc.build_system(demo6, 1.3), cfg)
 
 
@@ -144,7 +144,7 @@ def test_non_finite_initial_state_rejected(demo6, field, value):
     start = {"x0": seeded_x0(0, 6), "z0": np.zeros(6)}
     start[field][2] = value
     cfg = sc.SimConfig(tau=0.18, **start)
-    with pytest.raises(sc.InvalidConfig) as info:
+    with pytest.raises(sc.InvalidParameter) as info:
         sc.simulate(sc.build_system(demo6, 1.3), cfg)
     assert str(info.value) == "%s must be finite, got %r" % (field, value)
 
@@ -152,18 +152,18 @@ def test_non_finite_initial_state_rejected(demo6, field, value):
 def test_x0_not_one_dimensional_rejected(demo6):
     # 2 x 3 initial states hold 6 values, as many as demo6 has nodes
     cfg = sc.SimConfig(tau=0.18, x0=np.ones((2, 3)))
-    with pytest.raises(sc.InvalidConfig) as info:
+    with pytest.raises(sc.InvalidParameter) as info:
         sc.simulate(sc.build_system(demo6, 1.3), cfg)
     assert str(info.value) == "x0 must be a non-empty 1-D array, got shape (2, 3)"
     # no agents: the 0 x 0 system matches, and the target would be 0 / 0
     cfg = sc.SimConfig(tau=0.1, x0=np.ones(0), t_final=1.0)
-    with pytest.raises(sc.InvalidConfig, match=r"got shape \(0,\)"):
+    with pytest.raises(sc.InvalidParameter, match=r"got shape \(0,\)"):
         sc.simulate(np.zeros((0, 0)), cfg)
 
 
 def test_z0_of_another_length_rejected(demo6):
     cfg = sc.SimConfig(tau=0.18, x0=np.ones(6), z0=np.zeros(5))
-    with pytest.raises(sc.InvalidConfig) as info:
+    with pytest.raises(sc.InvalidParameter) as info:
         sc.simulate(sc.build_system(demo6, 1.3), cfg)
     assert str(info.value) == "x0 and z0 must have the same length"
 
@@ -174,7 +174,7 @@ def test_system_shape_mismatch_rejected(shape):
     # six agents need a 12 x 12 system; a wrong second dimension used to reach
     # the kernel and raise numpy's own ValueError
     cfg = sc.SimConfig(tau=0.1, x0=np.ones(6))
-    with pytest.raises(sc.InvalidConfig) as info:
+    with pytest.raises(sc.InvalidParameter) as info:
         sc.simulate(np.zeros(shape), cfg)
     assert str(info.value) == ("system shape %r does not match x0 length 6, want (12, 12)"
                                % (shape,))
@@ -188,11 +188,11 @@ def test_states_over_the_cap_rejected_before_allocating():
     ok = sc.SimConfig(tau=1.0, x0=np.ones(6), dt=0.0625, t_final=(cap_rows - 17) * 0.0625)
     assert ok.resolved()[3:] == (16, cap_rows - 17)
     over = sc.SimConfig(tau=1.0, x0=np.ones(6), dt=0.0625, t_final=(cap_rows - 16) * 0.0625)
-    with pytest.raises(sc.InvalidConfig, match="more than 100000000 state values"):
+    with pytest.raises(sc.InvalidParameter, match="more than 100000000 state values"):
         over.resolved()
     # a step so small that the step count overflows a float
     tiny = sc.SimConfig(tau=1.0, x0=np.ones(6), dt=1e-310, t_final=40.0)
-    with pytest.raises(sc.InvalidConfig, match="state values"):
+    with pytest.raises(sc.InvalidParameter, match="state values"):
         tiny.resolved()
 
 
@@ -643,5 +643,5 @@ def test_seeded_x0_is_the_randomstate_stream(seed):
 
 @pytest.mark.parametrize("seed", [-1, 2**32])
 def test_seeded_x0_rejects_seed_out_of_range(seed):
-    with pytest.raises(sc.InvalidConfig, match="seed must be in"):
+    with pytest.raises(sc.InvalidParameter, match="seed must be in"):
         seeded_x0(seed, 6)
