@@ -220,8 +220,8 @@ def rightmost_root(spec, tau):
 
 
 def chebyshev_nodes_diff(order, span):
-    """Chebyshev-Gauss-Lobatto nodes on [-span, 0] (node 0 first) and the
-    corresponding differentiation matrix."""
+    """Differentiation matrix on the Chebyshev-Gauss-Lobatto nodes of [-span, 0],
+    node 0 first."""
     n = order
     x = np.cos(np.pi * np.arange(n + 1) / n)
     x = span * (x - 1.0) / 2.0
@@ -229,8 +229,7 @@ def chebyshev_nodes_diff(order, span):
     xcol = np.tile(x, (n + 1, 1)).T
     dx = xcol - xcol.T
     d = np.outer(c, 1.0 / c) / (dx + np.eye(n + 1))
-    d = d - np.diag(d.sum(axis=1))
-    return x, d
+    return d - np.diag(d.sum(axis=1))
 
 
 def rightmost_root_oracle(spec, tau):
@@ -243,7 +242,7 @@ def rightmost_root_oracle(spec, tau):
     lam = spec.nonnull
     # a conjugate eigenvalue has the conjugate roots, the same once folded to Im >= 0
     lam = np.unique(lam.real + 1j * np.abs(lam.imag))
-    _, d = chebyshev_nodes_diff(ORACLE_ORDER, tau)
+    d = chebyshev_nodes_diff(ORACLE_ORDER, tau)
     gen = np.zeros((lam.size,) + d.shape, dtype=complex)
     # collocation rows: d/dtheta; boundary row: dy/dt = lambda_i y(-tau), on the last node
     gen[:, 1:, :] = d[1:]

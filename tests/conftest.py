@@ -75,7 +75,7 @@ def reference_oracle(m, tau, discretization_order=30):
     scalar generators and the Lambert W route are checked against."""
     dim = m.shape[0]
     order = int(discretization_order)
-    _, d = chebyshev_nodes_diff(order, tau)
+    d = chebyshev_nodes_diff(order, tau)
     gen = np.zeros((dim * (order + 1), dim * (order + 1)))
     # collocation rows: d/dtheta along the segment
     gen[dim:, :] = np.kron(d[1:], np.eye(dim))

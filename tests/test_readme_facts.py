@@ -1,6 +1,8 @@
-"""The README's summary-key and exit-code tables, and the module names it
-cites, agree with the code, and the README narrates no interface history."""
+"""The README's summary-key and exit-code tables, and the module attributes and
+class names it cites, agree with the code, and the README narrates no interface
+history."""
 
+import builtins
 import importlib
 import pkgutil
 import re
@@ -86,6 +88,14 @@ def test_named_module_attributes_exist():
     missing = [module + "." + name for module, name in named
                if not hasattr(importlib.import_module("surplus_consensus." + module), name)]
     assert missing == []
+
+
+def test_named_classes_exist():
+    # a CamelCase code span, such as `Spectrum`; the lowercase letter skips `FAIL`
+    named = set(re.findall(r"`([A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)`", README.read_text()))
+    assert len(named) >= 10
+    assert sorted(name for name in named
+                  if not hasattr(sc, name) and not hasattr(builtins, name)) == []
 
 
 def test_readme_narrates_no_interface_change():
