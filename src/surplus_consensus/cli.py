@@ -157,7 +157,8 @@ def _fmt(x):
 
 
 def _fmt_grid(x):
-    """A sweep's eps or tau: _fmt's digits if they parse back to x, else repr's."""
+    """An eps or tau a run takes from its arguments: _fmt's digits if they parse
+    back to x, else repr's."""
     text = _fmt(x)
     return text if float(text) == x else repr(float(x))
 
@@ -203,14 +204,14 @@ def cmd_analyze(args):
     if m is not None:
         spec = system_mod.spectrum(m)
         margin = delay_mod.tau_critical(spec)
-        lines.append("eigenvalues of M(%s):" % _fmt(args.eps))
+        lines.append("eigenvalues of M(%s):" % _fmt_grid(args.eps))
         lines += ["  %s" % _fmt_complex(v) for v in spec.eigenvalues]
         lines += [
-            "tau_c(%s): %s" % (_fmt(args.eps), _fmt(margin.tau_c)),
+            "tau_c(%s): %s" % (_fmt_grid(args.eps), _fmt(margin.tau_c)),
             "crossing_frequency: %s" % _fmt(margin.crossing_frequency),
         ]
         summary += [
-            ("eps", _fmt(args.eps)),
+            ("eps", _fmt_grid(args.eps)),
             ("tau_c", _fmt(margin.tau_c)),
             ("omega", _fmt(margin.crossing_frequency)),
         ]
@@ -250,7 +251,7 @@ def cmd_simulate(args):
                "epsilon": args.eps, "graph": args.graph, "seed": args.seed}
         with open(os.path.join(args.out, "trajectory.json"), "w") as fh:
             fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return [("command", "simulate"), ("eps", _fmt(args.eps)), ("tau", _fmt(args.tau)),
+    return [("command", "simulate"), ("eps", _fmt_grid(args.eps)), ("tau", _fmt_grid(args.tau)),
             ("t_final", _fmt(traj.t_final)), ("verdict", traj.verdict),
             ("target", _fmt(traj.target)),
             ("convergence_time", "none" if conv is None else _fmt(conv)),

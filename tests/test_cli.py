@@ -882,3 +882,41 @@ def test_verify_corrupted_graph(tmp_path, capsys):
     path = tmp_path / "c.edges"
     path.write_text("n 3\n1 2\nBROKEN\n")
     assert run(["verify", "--graph", str(path)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--eps", "1.1000000000001"],
+    ["analyze", "--eps", "1.1"],
+    ["simulate", "--eps", "1.1", "--tau", "0.1000000000000001", "--t-final", "1"],
+    ["simulate", "--eps", "1.1000000000001", "--tau", "0.1", "--t-final", "1"],
+    ["simulate", "--eps", "1.1", "--tau", "0.1", "--t-final", "1"],
+])
+def test_every_echoed_eps_and_tau_is_the_value_the_run_used(argv, monkeypatch, capsys):
+    # 1.1000000000001 printed with 12 digits would read 1.1, another double
+    used = {"eps": [], "tau": []}
+    build_system, simulate = cli.system_mod.build_system, cli.sim_mod.simulate
+
+    def build_spy(g, eps):
+        used["eps"].append(eps)
+        return build_system(g, eps)
+
+    def simulate_spy(m, cfg, csv_path=None):
+        used["tau"].append(cfg.tau)
+        return simulate(m, cfg, csv_path)
+
+    monkeypatch.setattr(cli.system_mod, "build_system", build_spy)
+    monkeypatch.setattr(cli.sim_mod, "simulate", simulate_spy)
+    assert run(argv + ["--graph", sc.demo_graph_path()]) == 0
+    captured = capsys.readouterr()
+    summary = parse_summary(captured.out)
+    # the run's own eps: analyze also builds M(0)
+    eps, = set(used["eps"]) - {0.0}
+    assert float(summary["eps"]) == eps
+    if argv[0] == "simulate":
+        assert float(summary["tau"]) == used["tau"][0]
+    else:
+        report = captured.err.splitlines()
+        echoed = [line.split("(", 1)[1].split(")", 1)[0] for line in report
+                  if line.startswith(("eigenvalues of M(", "tau_c("))]
+        assert len(echoed) == 3 and echoed[0] == "0"
+        assert [float(text) for text in echoed[1:]] == [eps, eps]
