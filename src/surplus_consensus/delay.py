@@ -20,6 +20,7 @@ from .errors import (
     NumericalFailure,
     PreconditionViolated,
     require_non_negative,
+    require_positive,
 )
 
 FOUR_UNIT_ROUNDOFF = 2.0 ** -51  # 4u, u = 2^-53 the unit roundoff of a double
@@ -179,14 +180,6 @@ def _tau_tilde(delta_bar, lam3):
     return (1.0 / (2.0 * delta_bar)) * math.atan(abs(lam3.real) / delta_bar)
 
 
-def _require_positive_delay(tau):
-    """Raise InvalidParameter unless tau is finite and positive."""
-    if not math.isfinite(tau):
-        raise InvalidParameter("tau must be finite, got %r" % (float(tau),))
-    if tau <= 0:
-        raise InvalidParameter("tau must be positive, got %r" % (float(tau),))
-
-
 def rightmost_root(spec, tau):
     """Rightmost non-null root of the quasi-polynomial at delay tau.
 
@@ -201,7 +194,7 @@ def rightmost_root(spec, tau):
     excluded. The spectrum lists a conjugate pair side by side, so lambert_w
     answers the second's five branches from the first's kept solves (not its failures).
     """
-    _require_positive_delay(tau)
+    require_positive("tau", tau)
     best, best_re, best_im = None, -math.inf, -math.inf
     for i, lam in zip(spec.nonnull_index.tolist(), spec.nonnull.tolist()):
         z = tau * lam
@@ -238,7 +231,7 @@ def rightmost_root_oracle(spec, tau):
     Vermiglio, 2005). It splits into one scalar generator per eigenvalue, since
     det(sI - M e^{-s tau}) = prod_i (s - lambda_i e^{-s tau}) for any M
     (Jarlebring & Damm, 2007)."""
-    _require_positive_delay(tau)
+    require_positive("tau", tau)
     lam = spec.nonnull
     # a conjugate eigenvalue has the conjugate roots, the same once folded to Im >= 0
     lam = np.unique(lam.real + 1j * np.abs(lam.imag))

@@ -14,7 +14,8 @@ class GraphFormatError(ConsensusError):
 class InvalidParameter(ConsensusError):
     """A value outside its admissible domain: a negative epsilon, a delay that is
     not positive, a simulation setting that breaks SimConfig's invariants, a
-    self-loop, an edge endpoint outside 1..n or a node count below 1."""
+    self-loop, an edge endpoint outside 1..n or a node count below 1 or above
+    graph.MAX_NODES."""
 
 
 class PreconditionViolated(ConsensusError):
@@ -40,3 +41,11 @@ def require_non_negative(name, values):
             raise InvalidParameter("%s must be non-negative, got %r" % (name, float(v)))
         if not math.isfinite(v):
             raise InvalidParameter("%s must be finite, got %r" % (name, float(v)))
+
+
+def require_positive(name, value):
+    """Raise InvalidParameter unless value is finite and positive."""
+    if not math.isfinite(value):
+        raise InvalidParameter("%s must be finite, got %r" % (name, float(value)))
+    if value <= 0:
+        raise InvalidParameter("%s must be positive, got %r" % (name, float(value)))

@@ -29,6 +29,9 @@ class DirectedGraph:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidParameter("node count must be positive, got %r" % (self.n,))
+        if self.n > MAX_NODES:
+            raise InvalidParameter("graph has %d nodes, more than MAX_NODES = %d"
+                                   % (self.n, MAX_NODES))
         for (i, j) in self.edges:
             if i == j:
                 raise InvalidParameter("self-loop (%d, %d) rejected" % (i, j))
@@ -59,8 +62,6 @@ def build_graph(n, edges):
 
 def adjacency(g):
     """A[i][j] = 1 iff (i+1, j+1) is an edge (0-based array, 1-based nodes)."""
-    if g.n > MAX_NODES:
-        raise GraphFormatError("graph has %d nodes, more than MAX_NODES = %d" % (g.n, MAX_NODES))
     a = np.zeros((g.n, g.n), dtype=np.int64)
     for (i, j) in g.edges:
         a[i - 1, j - 1] = 1
@@ -89,10 +90,6 @@ def is_strongly_connected(g):
     """True iff a directed path joins every ordered node pair (two BFS passes)."""
     if g.n == 1:
         return True
-    # every node of a strongly connected digraph on n >= 2 nodes has an
-    # in-edge: a header's typo in n fails here, before 2n adjacency lists exist
-    if len(g.edges) < g.n:
-        return False
     fwd = [[] for _ in range(g.n)]
     bwd = [[] for _ in range(g.n)]
     for (i, j) in g.edges:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _integrator
-from .errors import InvalidParameter
+from .errors import InvalidParameter, require_positive
 
 CONSENSUS_TOLERANCE = 1e-4
 DIVERGENCE_THRESHOLD = 1e6
@@ -35,10 +35,12 @@ class SimConfig:
         """Fill defaults (z0 = 0, dt = tau/50) and validate invariants.
 
         Returns (x0, z0, dt, delay_steps, nsteps), nsteps = round(t_final/dt)."""
-        for name in ("tau", "dt", "t_final"):
-            value = getattr(self, name)
-            if value is not None and not np.isfinite(value):
-                raise InvalidParameter("%s must be finite, got %r" % (name, float(value)))
+        # tau = 0 is y' = My, which the spectrum of M answers exactly
+        require_positive("tau", self.tau)
+        dt = self.tau / 50.0 if self.dt is None else self.dt
+        require_positive("dt", dt)
+        if not np.isfinite(self.t_final):
+            raise InvalidParameter("t_final must be finite, got %r" % (float(self.t_final),))
         x0 = np.asarray(self.x0, dtype=float)
         if x0.ndim != 1 or x0.size == 0:
             raise InvalidParameter("x0 must be a non-empty 1-D array, got shape %r" % (x0.shape,))
@@ -49,12 +51,6 @@ class SimConfig:
             bad = values[~np.isfinite(values)]
             if bad.size:
                 raise InvalidParameter("%s must be finite, got %r" % (name, float(bad[0])))
-        # tau = 0 is y' = My, which the spectrum of M answers exactly
-        if self.tau <= 0:
-            raise InvalidParameter("tau must be positive, got %r" % (self.tau,))
-        dt = self.tau / 50.0 if self.dt is None else self.dt
-        if dt <= 0:
-            raise InvalidParameter("dt must be positive, got %r" % (dt,))
         if self.t_final <= 0 or self.t_final < self.tau:
             raise InvalidParameter("t_final must be positive and at least tau")
         # (delay_steps + nsteps + 1) x 2n values, counted in floats so that a

@@ -12,6 +12,15 @@ from surplus_consensus.delay import chebyshev_nodes_diff
 REFERENCE_NULL_CUTOFF = 1e-7
 
 
+def cycle_edges(n):
+    """Edge-list text of the directed cycle on n nodes, i listening to i + 1 mod n."""
+    return "n %d\n" % n + "".join("%d %d\n" % (i, i % n + 1) for i in range(1, n + 1))
+
+
+# strongly connected and one node past the bound, so only the bound refuses it
+OVER_BOUND_CYCLE = cycle_edges(sc.graph.MAX_NODES + 1)
+
+
 @pytest.fixture(autouse=True)
 def no_leaked_child_process():
     """Fail a test that leaves a child process running or unreaped."""

@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 import surplus_consensus as sc
 from surplus_consensus import cli
 
+from conftest import OVER_BOUND_CYCLE
+
 
 def run(argv):
     return cli.main(argv)
@@ -184,6 +186,25 @@ def test_not_strongly_connected_exits_3(tmp_path, capsys, argv):
     argv = [str(out) if a == "OUT" else a for a in argv]
     assert run(argv + ["--graph", str(path)]) == 3
     assert capsys.readouterr().err == "error: graph is not strongly connected\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--out", "OUT"],
+    ["simulate", "--eps", "1", "--tau", "0.1", "--out", "OUT"],
+    ["sweep", "--mode", "two_d", "--eps-range", "0.5:0.5:1", "--tau-range", "0:0.1:0.1",
+     "--out", "OUT"],
+    ["verify"],
+], ids=["analyze", "simulate", "sweep", "verify"])
+def test_graph_over_the_node_bound_exits_2_before_out_exists(tmp_path, capsys, argv):
+    # the bound refuses the graph as it is read, before any command creates --out
+    path = tmp_path / "cycle.edges"
+    path.write_text(OVER_BOUND_CYCLE)
+    out = tmp_path / "out"
+    argv = [str(out) if a == "OUT" else a for a in argv]
+    assert run(argv + ["--graph", str(path)]) == 2
+    assert capsys.readouterr().err == ("error: %s: graph has 2001 nodes, more than "
+                                       "MAX_NODES = 2000\n" % path)
     assert not out.exists()
 
 

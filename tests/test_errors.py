@@ -11,7 +11,10 @@ import pytest
 import surplus_consensus as sc
 from surplus_consensus import sim
 
+from conftest import OVER_BOUND_CYCLE
+
 X0 = np.ones(3)
+OVER_BOUND = "graph has 2001 nodes, more than MAX_NODES = 2000"
 
 
 def demo_spectrum():
@@ -33,6 +36,7 @@ REFUSALS = {
     "self-loop": (lambda: sc.build_graph(3, [(2, 2)]), "self-loop (2, 2) rejected"),
     "endpoint": (lambda: sc.build_graph(3, [(2, 4)]), "edge (2, 4) out of range 1..3"),
     "no-nodes": (lambda: sc.build_graph(0, []), "node count must be positive, got 0"),
+    "nodes-over-bound": (lambda: sc.build_graph(sc.graph.MAX_NODES + 1, []), OVER_BOUND),
     "eps-negative": (lambda: sc.build_system(sc.build_graph(2, [(1, 2), (2, 1)]), -0.5),
                      "epsilon must be non-negative, got -0.5"),
     "root-tau-zero": (lambda: sc.rightmost_root(demo_spectrum(), 0.0),
@@ -55,6 +59,8 @@ def test_every_refused_value_is_an_invalid_parameter(case):
     ("no-nodes.edges", "n 0\n", "node count must be positive, got 0"),
     ("self-loop.json", json.dumps({"n": 2, "adjacency": [[1, 1], [1, 0]]}),
      "self-loop (1, 1) rejected"),
+    # an edge list only: a JSON adjacency of this size has about 4 M entries
+    pytest.param("cycle.edges", OVER_BOUND_CYCLE, OVER_BOUND, id="cycle-over-bound.edges"),
 ])
 def test_a_refused_edge_in_a_file_is_a_graph_format_error(name, content, text, tmp_path):
     path = tmp_path / name

@@ -7,6 +7,8 @@ import pytest
 import surplus_consensus as sc
 from surplus_consensus import cli
 
+from conftest import OVER_BOUND_CYCLE
+
 DEMO_ADJACENCY = np.array([
     [0, 1, 0, 1, 0, 1],
     [0, 0, 1, 0, 1, 0],
@@ -83,8 +85,8 @@ def test_strong_connectivity(demo6, three_cycle):
 
 
 def test_node_count_typo_is_refused_without_per_node_memory(tmp_path, capsys):
-    # a three-line file whose header says n = 1,000,000: fewer edges than nodes
-    # fail before the 2n adjacency lists (about 150 MB at this n) exist
+    # a three-line file whose header says n = 1,000,000: the node bound refuses
+    # it as the graph is built, before the 2n adjacency lists (about 150 MB) exist
     path = tmp_path / "typo.edges"
     path.write_text("n 1000000\n1 2\n2 1\n")
     tracemalloc.start()
@@ -93,8 +95,9 @@ def test_node_count_typo_is_refused_without_per_node_memory(tmp_path, capsys):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert code == 3
-    assert capsys.readouterr().err == "error: graph is not strongly connected\n"
+    assert code == 2
+    assert capsys.readouterr().err == ("error: %s: graph has 1000000 nodes, more than "
+                                       "MAX_NODES = %d\n" % (path, sc.graph.MAX_NODES))
     assert peak < 1_000_000
 
 
@@ -102,14 +105,13 @@ def test_node_count_over_the_bound_is_refused_before_dense_arrays(tmp_path, caps
     # a strongly connected cycle one node past the bound: n x n int64 would be 8 n^2 bytes
     n = sc.graph.MAX_NODES + 1
     path = tmp_path / "cycle.edges"
-    path.write_text("n %d\n" % n + "".join("%d %d\n" % (i, i % n + 1) for i in range(1, n + 1)))
-    message = "graph has %d nodes, more than MAX_NODES = %d" % (n, sc.graph.MAX_NODES)
+    path.write_text(OVER_BOUND_CYCLE)
+    message = "%s: graph has %d nodes, more than MAX_NODES = %d" % (path, n, sc.graph.MAX_NODES)
     tracemalloc.start()
     try:
         codes = [cli.main(["analyze", "--graph", str(path)] + eps) for eps in ([], ["--eps", "1"])]
-        g = sc.load_edge_list(str(path))
         with pytest.raises(sc.GraphFormatError) as info:
-            sc.laplacians(g)
+            sc.load_edge_list(str(path))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,6 +1,6 @@
-"""The README's summary-key and exit-code tables, and the module attributes and
-class names it cites, agree with the code, and the README narrates no interface
-history."""
+"""The README's summary-key and exit-code tables, and the module attributes,
+constant values and class names it cites, agree with the code, and the README
+narrates no interface history."""
 
 import builtins
 import importlib
@@ -88,6 +88,30 @@ def test_named_module_attributes_exist():
     missing = [module + "." + name for module, name in named
                if not hasattr(importlib.import_module("surplus_consensus." + module), name)]
     assert missing == []
+
+
+SUPERSCRIPT_DIGITS = str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")
+
+
+def readme_number(text):
+    """A number as the README writes it: 2,000, 1e-4 or 10⁸."""
+    power = re.fullmatch(r"10([⁰¹²³⁴⁵⁶⁷⁸⁹]+)", text)
+    if power:
+        return 10 ** int(power.group(1).translate(SUPERSCRIPT_DIGITS))
+    return float(text.replace(",", ""))
+
+
+def test_named_module_constants_have_their_stated_values():
+    # a span such as `graph.MAX_NODES` (2,000) states the attribute's value
+    modules = {info.name for info in pkgutil.iter_modules(sc.__path__)}
+    stated = [(module, name, text) for module, name, text in
+              re.findall(r"`(\w+)\.(\w+)`\s+\(([^)]*)\)", README.read_text())
+              if module in modules]
+    assert len(stated) >= 9
+    wrong = ["%s.%s (%s)" % (module, name, text) for module, name, text in stated
+             if getattr(importlib.import_module("surplus_consensus." + module), name)
+             != readme_number(text)]
+    assert wrong == []
 
 
 def test_named_classes_exist():
