@@ -34,8 +34,7 @@ from .graph import (
     is_balanced,
     is_strongly_connected,
     laplacians,
-    load_adjacency_json,
-    load_edge_list,
+    load_graph,
     random_strongly_connected,
     save_edge_list,
 )

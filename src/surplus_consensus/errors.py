@@ -8,7 +8,7 @@ class ConsensusError(Exception):
 
 
 class GraphFormatError(ConsensusError):
-    """Malformed graph file (bad header, field, or index)."""
+    """Graph file that is malformed (bad header, field, or index) or cannot be opened."""
 
 
 class InvalidParameter(ConsensusError):

@@ -124,79 +124,71 @@ def is_balanced(g):
     return prof.in_degrees == prof.out_degrees
 
 
-def load_edge_list(path):
-    """Read the text edge-list format: header 'n <count>', then 'i j' lines.
-
-    Lines starting with '#' and blank lines are ignored.
-    """
-    n = None
-    edges = []
+def load_graph(path):
+    """The graph in a file: JSON adjacency if path ends in '.json', else an edge list.
+    Any refusal is a GraphFormatError naming the file, or with the OSError's text."""
+    parse = _parse_adjacency_json if str(path).endswith(".json") else _parse_edge_list
     try:
         with open(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                fields = line.split()
-                if n is None:
-                    if len(fields) != 2 or fields[0] != "n":
-                        raise GraphFormatError("%s:%d: expected header 'n <count>', got %r"
-                                               % (path, lineno, line))
-                    try:
-                        n = int(fields[1])
-                    except ValueError:
-                        raise GraphFormatError("%s:%d: node count %r is not an integer"
-                                               % (path, lineno, fields[1]))
-                    continue
-                if len(fields) != 2:
-                    raise GraphFormatError("%s:%d: expected 'i j', got %r" % (path, lineno, line))
-                try:
-                    i, j = int(fields[0]), int(fields[1])
-                except ValueError:
-                    raise GraphFormatError("%s:%d: non-integer edge field in %r"
-                                           % (path, lineno, line))
-                edges.append((i, j))
-        if n is None:
-            raise GraphFormatError("%s: missing 'n <count>' header" % path)
-        return build_graph(n, edges)
-    # every refused file is a GraphFormatError naming it: also bytes that are not
-    # UTF-8 (a ValueError) and edges the graph model refuses
-    except (ValueError, RecursionError, InvalidParameter) as exc:
-        raise GraphFormatError("%s: %s" % (path, exc)) from exc
-
-
-def load_adjacency_json(path):
-    """Read the JSON adjacency format: {"n": ..., "adjacency": [[0/1, ...], ...]}."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict) or "n" not in doc or "adjacency" not in doc:
-            raise GraphFormatError("%s: expected object with fields 'n' and 'adjacency'" % path)
-        n = doc["n"]
-        rows = doc["adjacency"]
-        # bool is an int subclass, so JSON true and false would pass isinstance
-        if type(n) is not int or n < 1:
-            raise GraphFormatError("%s: field 'n' must be a positive integer" % path)
-        if not isinstance(rows, list) or len(rows) != n:
-            raise GraphFormatError("%s: 'adjacency' must be a list of %d rows" % (path, n))
-        edges = []
-        for r, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != n:
-                raise GraphFormatError("%s: adjacency row %d must have %d entries"
-                                       % (path, r + 1, n))
-            for c, v in enumerate(row):
-                if type(v) is not int or v not in (0, 1):
-                    raise GraphFormatError("%s: adjacency[%d][%d] = %r is not in {0, 1}"
-                                           % (path, r + 1, c + 1, v))
-                if v == 1:
-                    edges.append((r + 1, c + 1))
-        return build_graph(n, edges)
+            return build_graph(*parse(fh))
     except json.JSONDecodeError as exc:
         raise GraphFormatError("%s: invalid JSON: %s" % (path, exc)) from exc
-    # as load_edge_list's, and a JSON integer past Python's digit limit (a ValueError)
-    # or JSON nested past the recursion limit
+    except OSError as exc:
+        raise GraphFormatError(str(exc)) from exc
+    # bytes that are not UTF-8 and a JSON integer past Python's digit limit (ValueErrors),
+    # JSON nested past the recursion limit, and a graph the model refuses
     except (ValueError, RecursionError, InvalidParameter) as exc:
         raise GraphFormatError("%s: %s" % (path, exc)) from exc
+
+
+def _parse_edge_list(fh):
+    """(n, edges) of an edge list: a header 'n <count>', then one 'i j' line per edge;
+    blank lines and lines starting with '#' are skipped."""
+    lines = ((k, raw.strip()) for k, raw in enumerate(fh, start=1))
+    lines = ((k, line, line.split()) for k, line in lines if line and not line.startswith("#"))
+    k, line, fields = next(lines, (None, None, None))
+    if k is None:
+        raise GraphFormatError("%s: missing 'n <count>' header" % fh.name)
+    if len(fields) != 2 or fields[0] != "n":
+        raise GraphFormatError("%s:%d: expected header 'n <count>', got %r" % (fh.name, k, line))
+    try:
+        n = int(fields[1])
+    except ValueError:
+        raise GraphFormatError("%s:%d: node count %r is not an integer" % (fh.name, k, fields[1]))
+    edges = []
+    for k, line, fields in lines:
+        if len(fields) != 2:
+            raise GraphFormatError("%s:%d: expected 'i j', got %r" % (fh.name, k, line))
+        try:
+            edges.append((int(fields[0]), int(fields[1])))
+        except ValueError:
+            raise GraphFormatError("%s:%d: non-integer edge field in %r" % (fh.name, k, line))
+    return n, edges
+
+
+def _parse_adjacency_json(fh):
+    """(n, edges) of a JSON adjacency: {"n": ..., "adjacency": [[0/1, ...], ...]}."""
+    doc = json.load(fh)
+    if not isinstance(doc, dict) or "n" not in doc or "adjacency" not in doc:
+        raise GraphFormatError("%s: expected object with fields 'n' and 'adjacency'" % fh.name)
+    n, rows = doc["n"], doc["adjacency"]
+    # bool is an int subclass, so JSON true and false would pass isinstance
+    if type(n) is not int:
+        raise GraphFormatError("%s: field 'n' must be a positive integer" % fh.name)
+    build_graph(n, [])  # the node-count rules, before any of the n^2 entries is read
+    if not isinstance(rows, list) or len(rows) != n:
+        raise GraphFormatError("%s: 'adjacency' must be a list of %d rows" % (fh.name, n))
+    edges = []
+    for r, row in enumerate(rows, start=1):
+        if not isinstance(row, list) or len(row) != n:
+            raise GraphFormatError("%s: adjacency row %d must have %d entries" % (fh.name, r, n))
+        for c, v in enumerate(row, start=1):
+            if type(v) is not int or v not in (0, 1):
+                raise GraphFormatError("%s: adjacency[%d][%d] = %r is not in {0, 1}"
+                                       % (fh.name, r, c, v))
+            if v == 1:
+                edges.append((r, c))
+    return n, edges
 
 
 def save_edge_list(g, path):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import surplus_consensus as sc
 from surplus_consensus.delay import chebyshev_nodes_diff
@@ -47,7 +48,7 @@ def eigensolves(monkeypatch):
 
 @pytest.fixture(scope="session")
 def demo6():
-    return sc.load_edge_list(sc.demo_graph_path())
+    return sc.load_graph(sc.demo_graph_path())
 
 
 @pytest.fixture(scope="session")
@@ -144,6 +145,40 @@ def balanced_eps_bar(mu):
     mu = mu[np.abs(mu.imag) > mu.real]
     eps = 2.0 * mu.real ** 2 / (np.abs(mu.imag) - mu.real)
     return float(np.min(eps, initial=math.inf))
+
+
+def exact_eps_bar(g):
+    """The smallest eps > 0 at which M(eps) stops being admissible, or inf. 1^T M = 0, so
+    on an orthonormal basis Q of 1^perp M(eps) is Mh(eps) = Q^T M(0) Q + eps Q^T B Q,
+    B = [[0, I], [0, -I]], whose eigenvalues are M's less its null one. An eigenvalue of
+    Mh reaches the imaginary axis where det Mh(eps) = 0 (through 0) or where Mh's
+    bialternate sum, the Kronecker sum Mh x I + I x Mh on antisymmetric tensors with the
+    eigenvalues lambda_i + lambda_j, i < j, is singular (a pair through +-i omega). Both
+    are affine in eps, so the candidates are two pencils' generalized eigenvalues
+    (scipy.linalg.eigvals); eps_bar is the least positive real candidate across which
+    Mh's stability changes, judged by Mh's eigenvalues at 1 -+ 1e-6 times it."""
+    m0 = sc.build_system(g, 0.0)
+    q = scipy.linalg.null_space(np.ones((1, m0.shape[0])))
+    mh0, bh = q.T @ m0 @ q, q.T @ (sc.build_system(g, 1.0) - m0) @ q
+    k = q.shape[1]
+    pairs = [(p, r) for p in range(k) for r in range(p)]
+    anti = np.zeros((k * k, len(pairs)))
+    for c, (p, r) in enumerate(pairs):
+        anti[p * k + r, c], anti[r * k + p, c] = math.sqrt(0.5), -math.sqrt(0.5)
+
+    def bialternate(a):
+        return anti.T @ (np.kron(a, np.eye(k)) + np.kron(np.eye(k), a)) @ anti
+
+    def stable(eps):
+        return scipy.linalg.eigvals(mh0 + eps * bh).real.max() < 0
+
+    cands = np.concatenate([scipy.linalg.eigvals(mh0, -bh),
+                            scipy.linalg.eigvals(bialternate(mh0), -bialternate(bh))])
+    cands = cands[np.isfinite(cands)]
+    # eps = 0 is one, where Mh(0) is singular: M(0) has two null eigenvalues
+    cands = cands[(cands.real > 1e-8) & (np.abs(cands.imag) <= 1e-6 * np.abs(cands))].real
+    return next((float(c) for c in np.sort(cands)
+                 if stable(c * (1 - 1e-6)) != stable(c * (1 + 1e-6))), math.inf)
 
 
 def exact_system(g, eps):

@@ -127,9 +127,8 @@ def test_undecodable_graph_exits_2(tmp_path, capsys, name, content, message):
     err = capsys.readouterr().err
     assert err.startswith("error: %s: %s" % (path, message)) and err.count("\n") == 1
     # the library reader refuses the file with the text the CLI prints
-    read = sc.load_adjacency_json if name.endswith(".json") else sc.load_edge_list
     with pytest.raises(sc.GraphFormatError) as info:
-        read(str(path))
+        sc.load_graph(str(path))
     assert err == "error: %s\n" % info.value
 
 
@@ -143,7 +142,7 @@ def _edits(valid):
 
 _DEMO_EDGES = Path(sc.demo_graph_path()).read_bytes()
 _DEMO_JSON = json.dumps({"n": 6, "adjacency": sc.adjacency(
-    sc.load_edge_list(sc.demo_graph_path())).tolist()}).encode()
+    sc.load_graph(sc.demo_graph_path())).tolist()}).encode()
 _GRAPH_FILES = st.one_of(
     st.tuples(st.sampled_from([".edges", ".json"]), st.binary(max_size=4096)),
     st.tuples(st.just(".edges"), _edits(_DEMO_EDGES)),
@@ -160,9 +159,8 @@ def test_any_graph_file_is_read_or_refused_as_graph_input(case):
         path = os.path.join(tmp, "g" + suffix)
         with open(path, "wb") as fh:
             fh.write(content)
-        read = sc.load_adjacency_json if suffix == ".json" else sc.load_edge_list
         try:
-            assert isinstance(read(path), sc.DirectedGraph)
+            assert isinstance(sc.load_graph(path), sc.DirectedGraph)
         except sc.GraphFormatError:
             pass
         err = io.StringIO()
@@ -749,7 +747,7 @@ def test_sweep_tau_at_long_delays(tmp_path, capsys):
     summary = parse_summary(capsys.readouterr().out)
     assert summary["warnings"] == "0"
     assert not (out / "failures.csv").exists()
-    spec = sc.spectrum(sc.build_system(sc.load_edge_list(sc.demo_graph_path()), 1.1))
+    spec = sc.spectrum(sc.build_system(sc.load_graph(sc.demo_graph_path()), 1.1))
     expected = max(scipy.special.lambertw(1000.0 * spec.nonnull, k).real.max()
                    for k in range(-2, 3)) / 1000.0
     assert summary["argmin_tau"] == "1000"

@@ -18,7 +18,7 @@ OVER_BOUND = "graph has 2001 nodes, more than MAX_NODES = 2000"
 
 
 def demo_spectrum():
-    return sc.spectrum(sc.build_system(sc.load_edge_list(sc.demo_graph_path()), 1.1))
+    return sc.spectrum(sc.build_system(sc.load_graph(sc.demo_graph_path()), 1.1))
 
 
 REFUSALS = {
@@ -65,6 +65,5 @@ def test_every_refused_value_is_an_invalid_parameter(case):
 def test_a_refused_edge_in_a_file_is_a_graph_format_error(name, content, text, tmp_path):
     path = tmp_path / name
     path.write_text(content)
-    load = sc.load_adjacency_json if name.endswith(".json") else sc.load_edge_list
     with pytest.raises(sc.GraphFormatError, match="^%s$" % re.escape("%s: %s" % (path, text))):
-        load(str(path))
+        sc.load_graph(str(path))

@@ -111,7 +111,7 @@ def test_node_count_over_the_bound_is_refused_before_dense_arrays(tmp_path, caps
     try:
         codes = [cli.main(["analyze", "--graph", str(path)] + eps) for eps in ([], ["--eps", "1"])]
         with pytest.raises(sc.GraphFormatError) as info:
-            sc.load_edge_list(str(path))
+            sc.load_graph(str(path))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -165,7 +165,7 @@ def test_balanced_implies_equal_diagonals():
 def test_edge_list_roundtrip(tmp_path, demo6):
     path = tmp_path / "g.edges"
     sc.save_edge_list(demo6, str(path))
-    g2 = sc.load_edge_list(str(path))
+    g2 = sc.load_graph(str(path))
     assert g2 == demo6
 
 
@@ -173,21 +173,21 @@ def test_edge_list_bad_header(tmp_path):
     path = tmp_path / "bad.edges"
     path.write_text("6\n1 2\n")
     with pytest.raises(sc.GraphFormatError, match="header"):
-        sc.load_edge_list(str(path))
+        sc.load_graph(str(path))
 
 
 def test_edge_list_bad_field(tmp_path):
     path = tmp_path / "bad.edges"
     path.write_text("n 3\n1 x\n")
     with pytest.raises(sc.GraphFormatError, match=":2"):
-        sc.load_edge_list(str(path))
+        sc.load_graph(str(path))
 
 
 def test_edge_list_out_of_range(tmp_path):
     path = tmp_path / "bad.edges"
     path.write_text("n 3\n1 7\n")
     with pytest.raises(sc.GraphFormatError):
-        sc.load_edge_list(str(path))
+        sc.load_graph(str(path))
 
 
 @pytest.mark.parametrize("name, content, message", [
@@ -198,23 +198,40 @@ def test_edge_list_out_of_range(tmp_path):
     ("g.json", '{"n": 2, "adjacency": [[0, 1]]}', ": 'adjacency' must be a list of 2 rows"),
     ("g.json", '{"n": 2, "adjacency": [[0, 1], [1]]}', ": adjacency row 2 must have 2 entries"),
     ("g.json", '{"n": 2, "adjacency": [[1, 1], [1, 0]]}', ": self-loop (1, 1) rejected"),
+    ("g.json", '{"n": 0, "adjacency": []}', ": node count must be positive, got 0"),
+    # the node bound, not the row count, refuses it: no entry is read
+    ("g.json", '{"n": 2001, "adjacency": []}',
+     ": graph has 2001 nodes, more than MAX_NODES = 2000"),
 ], ids=["header-not-integer", "no-header", "header-zero", "json-not-object",
-        "json-row-count", "json-short-row", "json-diagonal"])
+        "json-row-count", "json-short-row", "json-diagonal", "json-zero", "json-over-bound"])
 def test_refused_file_names_itself_and_exits_2(tmp_path, capsys, name, content, message):
     path = tmp_path / name
     path.write_text(content)
-    read = sc.load_adjacency_json if name.endswith(".json") else sc.load_edge_list
     with pytest.raises(sc.GraphFormatError) as info:
-        read(str(path))
+        sc.load_graph(str(path))
     assert str(info.value) == "%s%s" % (path, message)
     assert cli.main(["analyze", "--graph", str(path)]) == 2
     assert capsys.readouterr().err == "error: %s%s\n" % (path, message)
 
 
+@pytest.mark.parametrize("name", ["missing.edges", "missing.json", "."])
+def test_unopenable_path_is_a_graph_format_error_with_the_os_error_text(tmp_path, capsys, name):
+    # a missing file, or a directory, is refused as graph input with the OSError's text
+    path = str(tmp_path / name)
+    with pytest.raises(OSError) as os_error:
+        open(path)
+    with pytest.raises(sc.GraphFormatError) as info:
+        sc.load_graph(path)
+    assert str(info.value) == str(os_error.value)
+    assert isinstance(info.value.__cause__, type(os_error.value))
+    assert cli.main(["analyze", "--graph", path]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % os_error.value
+
+
 def test_adjacency_json(tmp_path, two_node):
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"n": 2, "adjacency": [[0, 1], [1, 0]]}))
-    assert sc.load_adjacency_json(str(path)) == two_node
+    assert sc.load_graph(str(path)) == two_node
 
 
 @pytest.mark.parametrize("doc, message", [
@@ -229,7 +246,7 @@ def test_adjacency_json_takes_only_integers(tmp_path, doc, message):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(sc.GraphFormatError) as info:
-        sc.load_adjacency_json(str(path))
+        sc.load_graph(str(path))
     assert str(info.value) == "%s: %s" % (path, message)
     assert cli.main(["analyze", "--graph", str(path)]) == 2
 
@@ -238,7 +255,7 @@ def test_adjacency_json_malformed(tmp_path):
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"n": 2, "adjacency": [[0, 2], [1, 0]]}))
     with pytest.raises(sc.GraphFormatError, match="adjacency"):
-        sc.load_adjacency_json(str(path))
+        sc.load_graph(str(path))
     path.write_text("{not json")
     with pytest.raises(sc.GraphFormatError, match="JSON"):
-        sc.load_adjacency_json(str(path))
+        sc.load_graph(str(path))

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import surplus_consensus as sc
 from surplus_consensus import cli, system
 
-from conftest import (balanced_eps_bar, balanced_roots, exact_null_vector,
+from conftest import (balanced_eps_bar, balanced_roots, exact_eps_bar, exact_null_vector,
                       max_nonnull_real, scan_eps_bar)
 
 
@@ -360,6 +360,37 @@ def test_find_eps_bar_bisection_matches_the_scan(case):
         assert sc.find_eps_bar(g, grid) == expected
 
 
+@st.composite
+def _unbalanced_graph(draw):
+    """A random unbalanced strongly connected digraph on 3..8 nodes (the one strongly
+    connected digraph on 2 nodes, the 2-cycle, is balanced); half the draws take at
+    most two extra edges, as in _graph_and_eps_grid."""
+    n = draw(st.integers(3, 8))
+    extra = draw(st.one_of(st.integers(0, 2), st.integers(0, n * (n - 1))))
+    g = sc.random_strongly_connected(n, extra, draw(st.integers(0, 2 ** 32 - 1)))
+    assume(not sc.is_balanced(g))
+    return g
+
+
+EXACT_GRID = np.linspace(0.05, 5.0, 100).tolist()
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(_unbalanced_graph())
+def test_find_eps_bar_is_the_last_grid_point_below_the_exact_eps_bar(g):
+    # the exact eps_bar needs no interval assumption, so a graph where find_eps_bar's
+    # bisection misses it is a counterexample to that assumption
+    eps_bar = exact_eps_bar(g)
+    # a grid point within rounding of eps_bar is admissible or not by rounding
+    assume(all(abs(eps - eps_bar) > 1e-7 * eps for eps in EXACT_GRID))
+    below = [eps for eps in EXACT_GRID if eps < eps_bar]
+    if not below:
+        with pytest.raises(sc.NoAdmissibleEpsilon):
+            sc.find_eps_bar(g, EXACT_GRID)
+    else:
+        assert sc.find_eps_bar(g, EXACT_GRID) == below[-1]
+
+
 def test_find_eps_bar_no_admissible():
     # the directed 6-cycle loses stability well below eps = 2
     ring = sc.build_graph(6, [(i, i % 6 + 1) for i in range(1, 7)])
@@ -399,6 +430,15 @@ def test_find_eps_bar_on_directed_cycles_is_the_closed_form():
     for n, eps in found.items():
         assert eps == max(e for e in grid if e < balanced_eps_bar(cycle_mu(n))), n
     assert (found[3], found[4], found[8]) == (3.0, 3.0, 0.41)
+
+
+def test_exact_eps_bar_on_directed_cycles_is_the_closed_form():
+    # the pencils' eps_bar is the quadratics'; on the 4-cycle, Re mu = |Im mu| puts the
+    # crossing at eps = inf, which both routes compute as a rounding-level finite value
+    assert exact_eps_bar(directed_cycle(3)) == math.inf
+    for n in range(5, 11):
+        assert exact_eps_bar(directed_cycle(n)) == pytest.approx(
+            balanced_eps_bar(cycle_mu(n)), rel=1e-12), n
 
 
 def test_tau_critical_on_undirected_cycles_is_pi_over_twice_the_spectral_radius():
